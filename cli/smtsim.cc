@@ -7,25 +7,21 @@
  * binaries emit for the same spec.
  *
  * Usage: smtsim [options] <spec.json | spec-name> ...
- *        smtsim serve [options]   (long-running sweep daemon)
- *        smtsim sweep [options] <spec> (distributed resumable sweep)
- *        smtsim worker [options]  (one sweep worker process)
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bpred/engine_registry.hh"
-#include "serve/distributed.hh"
-#include "serve/server.hh"
-#include "serve/worker.hh"
 #include "sim/checkpoint.hh"
+#include "sim/journal.hh"
+#include "sim/scheduler.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_spec.hh"
 #include "util/logging.hh"
@@ -64,15 +60,9 @@ usage(std::FILE *out)
     std::fprintf(
         out,
         "usage: smtsim [options] <spec.json | spec-name> ...\n"
-        "       smtsim serve [options]\n"
-        "       smtsim sweep [options] <spec> ...\n"
-        "       smtsim worker [options]\n"
         "\n"
         "Runs JSON experiment specs (see configs/) through the\n"
         "simulator and writes BENCH_<name>.json records.\n"
-        "(`smtsim serve --help` describes the sweep daemon;\n"
-        "`smtsim sweep --help` the distributed, resumable sweep\n"
-        "runner and its `worker` processes.)\n"
         "\n"
         "A bare spec name (no '/' and no '.json') is resolved\n"
         "against $SMTFETCH_CONFIG_DIR or the build-time configs/\n"
@@ -115,7 +105,9 @@ usage(std::FILE *out)
         "  --checkpoint-dir DIR\n"
         "                 persist warmup snapshots in DIR and reuse\n"
         "                 them across sweeps (implies\n"
-        "                 --checkpoint-warmup)\n"
+        "                 --checkpoint-warmup); also journal every\n"
+        "                 finished point to DIR/journal_<name>.jsonl\n"
+        "                 so a killed run resumes where it stopped\n"
         "  --no-cycle-skip\n"
         "                 tick every cycle instead of fast-\n"
         "                 forwarding over quiescent spans (debug\n"
@@ -330,7 +322,30 @@ runOne(const Options &opt, const std::string &arg)
     if (!request.checkpointDir.empty())
         ensureWritableDir(request.checkpointDir);
 
-    SweepReport report = ExperimentRunner().run(request);
+    // A checkpoint directory also makes the sweep resumable: every
+    // finished point is journaled there, and a re-run skips the
+    // points an earlier (killed) run already journaled. Runs that
+    // write a trace or checkpoint file are not journaled — skipping
+    // their point would skip the file.
+    SweepSubmitOptions submit;
+    if (!request.checkpointDir.empty() && opt.recordPath.empty() &&
+        opt.saveCheckpointPath.empty()) {
+        submit.journal = std::make_shared<SweepJournal>(
+            request.checkpointDir, spec.benchName(), request);
+        submit.precompleted = submit.journal->completed();
+        if (!submit.precompleted.empty()) {
+            std::printf("resuming %s: %zu of %zu points already "
+                        "journaled in %s\n",
+                        spec.benchName().c_str(),
+                        submit.precompleted.size(),
+                        request.points.size(),
+                        request.checkpointDir.c_str());
+            std::fflush(stdout);
+        }
+    }
+
+    SweepReport report =
+        ExperimentRunner().run(request, std::move(submit));
     const auto &results = report.results;
     const auto &points_run = request.points;
     if (!opt.recordPath.empty() && !opt.quiet) {
@@ -370,17 +385,6 @@ runOne(const Options &opt, const std::string &arg)
 int
 main(int argc, char **argv)
 {
-    // `smtsim serve ...` is a subcommand with its own flags: a
-    // long-running daemon accepting the same spec documents over
-    // HTTP (see src/serve/). `sweep` runs one spec across spawned
-    // `worker` processes with journaled resume support.
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-        return serveMain(argc - 2, argv + 2);
-    if (argc > 1 && std::strcmp(argv[1], "sweep") == 0)
-        return sweepMain(argc - 2, argv + 2, argv[0]);
-    if (argc > 1 && std::strcmp(argv[1], "worker") == 0)
-        return workerMain(argc - 2, argv + 2);
-
     Options opt;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -501,6 +505,9 @@ main(int argc, char **argv)
             std::fprintf(stderr, "smtsim: %s\n", e.what());
             return 2;
         } catch (const CheckpointError &e) {
+            std::fprintf(stderr, "smtsim: %s\n", e.what());
+            return 2;
+        } catch (const JournalError &e) {
             std::fprintf(stderr, "smtsim: %s\n", e.what());
             return 2;
         } catch (const std::invalid_argument &e) {

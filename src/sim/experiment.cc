@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <thread>
 
 #include "bpred/engine_registry.hh"
-#include "sim/result_codec.hh"
 #include "sim/scheduler.hh"
 #include "sim/snapshot_cache.hh"
 #include "util/json.hh"
@@ -15,6 +13,43 @@
 
 namespace smt
 {
+
+namespace
+{
+
+/** Emit one result as a BENCH-record `results[]` element. */
+void
+writeResultJson(JsonWriter &jw, const ExperimentResult &r)
+{
+    jw.beginObject();
+    jw.field("workload", r.workload);
+    jw.field("engine", engineName(r.engine));
+    jw.field("policy", policyName(r.policy));
+    jw.field("fetchThreads", r.fetchThreads);
+    jw.field("fetchWidth", r.fetchWidth);
+    jw.field("policyString",
+             std::string(policyName(r.policy)) + "." +
+                 r.policyDotString());
+    if (r.overrides.any()) {
+        jw.field("variant", r.overrides.describe());
+        jw.key("overrides");
+        jw.beginObject();
+        r.overrides.writeJson(jw);
+        jw.endObject();
+    }
+    jw.field("warmupCycles", r.warmupCycles);
+    jw.field("measureCycles", r.measureCycles);
+    jw.field("ipfc", r.ipfc);
+    jw.field("ipc", r.ipc);
+    jw.key("stats");
+    if (r.statsJson.empty())
+        jw.raw("{}");
+    else
+        jw.raw(r.statsJson);
+    jw.endObject();
+}
+
+} // namespace
 
 std::string
 ExperimentResult::policyDotString() const
@@ -112,21 +147,26 @@ RunOverrides::writeJson(JsonWriter &jw) const
 SweepReport
 ExperimentRunner::run(const SweepRequest &request) const
 {
-    // A reuse-enabled run without an installed shared cache gets a
-    // private one scoped to this call — the PR 4 "once per runAll"
-    // semantics; snapshots still persist across calls through
-    // request.checkpointDir's disk tier.
-    std::optional<WarmupSnapshotCache> local;
-    WarmupSnapshotCache *cache_ptr = nullptr;
-    if (request.reuseEnabled())
-        cache_ptr = sharedCache ? sharedCache : &local.emplace();
+    return run(request, SweepSubmitOptions{});
+}
 
-    unsigned hw = std::thread::hardware_concurrency();
+SweepReport
+ExperimentRunner::run(const SweepRequest &request,
+                      SweepSubmitOptions options) const
+{
+    // A reuse-enabled run gets a private cache scoped to this call;
+    // snapshots still persist across calls through
+    // request.checkpointDir's disk tier.
+    std::optional<WarmupSnapshotCache> cache;
+    if (request.reuseEnabled())
+        cache.emplace();
+
     unsigned workers = std::min<unsigned>(
-        hw == 0 ? 4 : hw,
+        defaultSweepWorkers(),
         (unsigned)std::max<std::size_t>(request.points.size(), 1));
-    SweepScheduler scheduler(workers, cache_ptr);
-    return scheduler.wait(scheduler.submit(request));
+    SweepScheduler scheduler(workers, cache ? &*cache : nullptr);
+    return scheduler.wait(
+        scheduler.submit(request, "", std::move(options)));
 }
 
 void
@@ -261,8 +301,8 @@ ExperimentRunner::writeJson(
                  static_cast<std::uint64_t>(timing->restoredRuns));
         jw.field("directRuns",
                  static_cast<std::uint64_t>(timing->directRuns));
-        // Only resumed distributed sweeps have journal-served
-        // points; older records stay byte-identical.
+        // Only resumed sweeps have journal-served points; other
+        // records stay byte-identical.
         if (timing->journaledPoints > 0)
             jw.field("journaledPoints",
                      static_cast<std::uint64_t>(

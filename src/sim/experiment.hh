@@ -6,8 +6,7 @@
  * accounting. ExperimentRunner is a thin facade that feeds a request
  * through the scheduler/executor pair (sim/scheduler.hh,
  * sim/executor.hh) and renders paper-figure tables and BENCH_*.json
- * records; the serve daemon drives the same scheduler directly with a
- * shared process-wide snapshot cache.
+ * records.
  */
 
 #ifndef SMTFETCH_SIM_EXPERIMENT_HH
@@ -25,7 +24,7 @@ namespace smt
 {
 
 class JsonWriter;
-class WarmupSnapshotCache;
+struct SweepSubmitOptions;
 
 /**
  * Optional per-run deviations from the Table 3 baseline, used by the
@@ -142,9 +141,9 @@ struct SweepRequest
 
     /**
      * Warmup-snapshot sharing: group points by warmup configuration
-     * key, simulate each distinct warmup once (process-wide when a
-     * shared WarmupSnapshotCache is installed), and restore the
-     * snapshot for every other point. Results are bit-identical to
+     * key, simulate each distinct warmup once (across every job of a
+     * SweepScheduler given one shared WarmupSnapshotCache), and
+     * restore the snapshot for every other point. Results are bit-identical to
      * the plain path. Implied by a non-empty checkpointDir.
      */
     bool reuseWarmup = false;
@@ -173,8 +172,8 @@ struct SweepTiming
                                    //!< checkpoint flags)
 
     /** Points satisfied from a resume journal without simulating
-     *  anything (distributed sweeps only; counted inside
-     *  completedPoints but NOT inside warmup/restored/direct). */
+     *  anything (counted in gridPoints but NOT inside
+     *  warmup/restored/direct). */
     std::size_t journaledPoints = 0;
     double warmupSeconds = 0;      //!< wall clock inside warmups
     double sweepSeconds = 0;       //!< wall clock of the sweep
@@ -186,8 +185,8 @@ struct SweepTiming
     /** @name Snapshot-cache accounting (reuse path only): restored
      *  points split by serving tier, plus the evictions the serving
      *  cache performed over this sweep's lifetime (exact for a
-     *  single-process run; a lower bound under concurrent sweeps
-     *  sharing the daemon's cache). */
+     *  lone sweep; under concurrent sweeps sharing one cache it also
+     *  counts evictions the other sweeps caused). */
     /// @{
     std::uint64_t cacheHits = 0;      //!< memory-tier restores
     std::uint64_t cacheDiskHits = 0;  //!< disk-tier restores
@@ -219,22 +218,20 @@ struct SweepReport
 
 /**
  * Facade over the scheduler/executor pair: runs one SweepRequest to
- * completion across host threads and renders results. Construct with
- * a WarmupSnapshotCache to share warmup snapshots beyond a single
- * run() call (the serve daemon's process-wide cache); the default
- * constructor gives every reuse-enabled run a private cache.
+ * completion across host threads and renders results. Every
+ * reuse-enabled run gets a private snapshot cache; snapshots outlive
+ * the call only through request.checkpointDir's disk tier.
  */
 class ExperimentRunner
 {
   public:
-    ExperimentRunner() = default;
-    explicit ExperimentRunner(WarmupSnapshotCache &shared_cache)
-        : sharedCache(&shared_cache)
-    {
-    }
-
     /** Run a whole request, parallelized across host threads. */
     SweepReport run(const SweepRequest &request) const;
+
+    /** As above, forwarding `options` (a resume journal, a custom
+     *  point runner) to SweepScheduler::submit. */
+    SweepReport run(const SweepRequest &request,
+                    SweepSubmitOptions options) const;
 
     /**
      * Render a figure: one row per (workload, policy) group, one
@@ -256,9 +253,6 @@ class ExperimentRunner
               const std::vector<std::pair<std::string, double>>
                   &metrics = {},
               const SweepTiming *timing = nullptr);
-
-  private:
-    WarmupSnapshotCache *sharedCache = nullptr;
 };
 
 /**

@@ -11,9 +11,11 @@
 #include <unistd.h>
 #endif
 
-#include "sim/result_codec.hh"
+#include "bpred/engine_registry.hh"
+#include "sim/sweep_spec.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
 
 namespace smt
 {
@@ -23,9 +25,156 @@ namespace
 
 constexpr const char *journalSchema = "smtfetch-journal-v1";
 
+[[noreturn]] void
+codecFail(const std::string &what)
+{
+    throw std::runtime_error("journal entry: " + what);
+}
+
+const JsonValue &
+member(const JsonValue &doc, const char *key)
+{
+    const JsonValue *v = doc.find(key);
+    if (v == nullptr)
+        codecFail(csprintf("missing \"%s\" member", key));
+    return *v;
+}
+
+std::uint64_t
+u64Member(const JsonValue &doc, const char *key)
+{
+    const JsonValue &v = member(doc, key);
+    if (!v.isNumber())
+        codecFail(csprintf("\"%s\" must be a number, found %s", key,
+                           v.kindName()));
+    return v.asUInt64();
+}
+
+double
+numMember(const JsonValue &doc, const char *key)
+{
+    const JsonValue &v = member(doc, key);
+    if (!v.isNumber())
+        codecFail(csprintf("\"%s\" must be a number, found %s", key,
+                           v.kindName()));
+    return v.asNumber();
+}
+
+std::string
+strMember(const JsonValue &doc, const char *key)
+{
+    const JsonValue &v = member(doc, key);
+    if (!v.isString())
+        codecFail(csprintf("\"%s\" must be a string, found %s", key,
+                           v.kindName()));
+    return v.asString();
+}
+
+RunOverrides
+decodeOverrides(const JsonValue &doc)
+{
+    if (!doc.isObject())
+        codecFail(csprintf("\"overrides\" must be an object, "
+                           "found %s",
+                           doc.kindName()));
+    RunOverrides o;
+    for (const auto &[key, value] : doc.asObject()) {
+        if (key == "ftqEntries") {
+            o.ftqEntries = static_cast<unsigned>(value.asUInt64());
+        } else if (key == "fetchBufferSize") {
+            o.fetchBufferSize =
+                static_cast<unsigned>(value.asUInt64());
+        } else if (key == "robEntries") {
+            o.robEntries = static_cast<unsigned>(value.asUInt64());
+        } else if (key == "longLoadPolicy") {
+            o.longLoadPolicy =
+                longLoadPolicyFromString(value.asString());
+        } else if (key == "longLoadThreshold") {
+            o.longLoadThreshold = value.asUInt64();
+        } else if (key == "predictorShift") {
+            o.predictorShift =
+                static_cast<unsigned>(value.asUInt64());
+        } else if (const EngineParamSpec *ps =
+                       EngineRegistry::instance().findParam(key);
+                   ps != nullptr) {
+            std::uint64_t n = value.asUInt64();
+            if (!ps->inRange(n))
+                codecFail(csprintf("engine parameter \"%s\" value "
+                                   "%llu out of range",
+                                   key.c_str(),
+                                   (unsigned long long)n));
+            o.engineParams.emplace_back(key, n);
+        } else {
+            codecFail(csprintf("unknown override \"%s\"",
+                               key.c_str()));
+        }
+    }
+    return o;
+}
+
+void
+encodeResult(JsonWriter &jw, const ExperimentResult &r)
+{
+    jw.beginObject();
+    jw.field("workload", r.workload);
+    jw.field("engine", engineName(r.engine));
+    jw.field("policy", policyName(r.policy));
+    jw.field("fetchThreads", r.fetchThreads);
+    jw.field("fetchWidth", r.fetchWidth);
+    if (r.overrides.any()) {
+        jw.key("overrides");
+        jw.beginObject();
+        r.overrides.writeJson(jw);
+        jw.endObject();
+    }
+    jw.field("warmupCycles", r.warmupCycles);
+    jw.field("measureCycles", r.measureCycles);
+    jw.field("ipfc", r.ipfc);
+    jw.field("ipc", r.ipc);
+    // The sweep accounting reads these back without re-parsing the
+    // full stats document.
+    jw.field("instsCommitted", r.stats.instsCommitted);
+    jw.field("cyclesSkipped", r.stats.cyclesSkipped);
+    jw.field("sleepEvents", r.stats.sleepEvents);
+    jw.field("maxSkipSpan", r.stats.maxSkipSpan);
+    // As an escaped STRING member, not a nested object: parsing a
+    // nested object would funnel 64-bit counters through doubles and
+    // corrupt values above 2^53; the string round-trips losslessly.
+    jw.field("statsJson", r.statsJson);
+    jw.endObject();
+}
+
+ExperimentResult
+decodeResult(const JsonValue &doc)
+{
+    if (!doc.isObject())
+        codecFail(csprintf("a result must be an object, found %s",
+                           doc.kindName()));
+    ExperimentResult r;
+    r.workload = strMember(doc, "workload");
+    r.engine = engineKindFromString(strMember(doc, "engine"));
+    r.policy = policyKindFromString(strMember(doc, "policy"));
+    r.fetchThreads =
+        static_cast<unsigned>(u64Member(doc, "fetchThreads"));
+    r.fetchWidth =
+        static_cast<unsigned>(u64Member(doc, "fetchWidth"));
+    if (const JsonValue *o = doc.find("overrides"))
+        r.overrides = decodeOverrides(*o);
+    r.warmupCycles = u64Member(doc, "warmupCycles");
+    r.measureCycles = u64Member(doc, "measureCycles");
+    r.ipfc = numMember(doc, "ipfc");
+    r.ipc = numMember(doc, "ipc");
+    r.stats.instsCommitted = u64Member(doc, "instsCommitted");
+    r.stats.cyclesSkipped = u64Member(doc, "cyclesSkipped");
+    r.stats.sleepEvents = u64Member(doc, "sleepEvents");
+    r.stats.maxSkipSpan = u64Member(doc, "maxSkipSpan");
+    r.statsJson = strMember(doc, "statsJson");
+    return r;
+}
+
 std::string
 headerLine(const std::string &bench, const std::string &request_key,
-           std::size_t points, std::size_t warmup_groups)
+           std::size_t points)
 {
     std::ostringstream os;
     JsonWriter jw(os, 0);
@@ -34,8 +183,6 @@ headerLine(const std::string &bench, const std::string &request_key,
     jw.field("bench", bench);
     jw.field("requestKey", request_key);
     jw.field("points", static_cast<std::uint64_t>(points));
-    jw.field("warmupGroups",
-             static_cast<std::uint64_t>(warmup_groups));
     jw.endObject();
     return os.str();
 }
@@ -48,12 +195,84 @@ entryLine(std::size_t index, const PointOutcome &outcome)
     jw.beginObject();
     jw.field("point", static_cast<std::uint64_t>(index));
     jw.key("outcome");
-    jw.raw(outcomeToWireJson(outcome));
+    jw.raw(encodeOutcome(outcome));
     jw.endObject();
     return os.str();
 }
 
 } // namespace
+
+std::string
+encodeOutcome(const PointOutcome &outcome)
+{
+    std::ostringstream os;
+    JsonWriter jw(os, 0);
+    jw.beginObject();
+    jw.field("served", outcome.ranWarmup  ? "warmup"
+                       : outcome.restored ? "restored"
+                                          : "direct");
+    if (outcome.restored)
+        jw.field("diskHit", outcome.diskHit);
+    jw.field("warmupSeconds", outcome.warmupSeconds);
+    jw.field("measureSeconds", outcome.measureSeconds);
+    jw.key("result");
+    encodeResult(jw, outcome.result);
+    jw.endObject();
+    return os.str();
+}
+
+PointOutcome
+decodeOutcome(const JsonValue &doc)
+{
+    if (!doc.isObject())
+        codecFail(csprintf("an outcome must be an object, found %s",
+                           doc.kindName()));
+    PointOutcome o;
+    std::string served = strMember(doc, "served");
+    if (served == "warmup")
+        o.ranWarmup = true;
+    else if (served == "restored")
+        o.restored = true;
+    else if (served == "direct")
+        o.direct = true;
+    else
+        codecFail(csprintf("unknown \"served\" value \"%s\"",
+                           served.c_str()));
+    if (const JsonValue *v = doc.find("diskHit"))
+        o.diskHit = v->asBool();
+    o.warmupSeconds = numMember(doc, "warmupSeconds");
+    o.measureSeconds = numMember(doc, "measureSeconds");
+    o.result = decodeResult(member(doc, "result"));
+    return o;
+}
+
+std::string
+sweepRequestKey(const SweepRequest &request)
+{
+    std::string s = csprintf(
+        "smtfetch-sweep-v1|warmup=%llu|measure=%llu|seed=%llu|"
+        "skip=%d|points=%zu",
+        (unsigned long long)request.warmupCycles,
+        (unsigned long long)request.measureCycles,
+        (unsigned long long)request.seed, request.cycleSkip ? 1 : 0,
+        request.points.size());
+    for (const GridPoint &p : request.points) {
+        s += csprintf("|%s/%s/%u.%u/%s", p.workload.c_str(),
+                      engineName(p.engine), p.fetchThreads,
+                      p.fetchWidth, policyName(p.policy));
+        std::string variant = p.overrides.describe();
+        if (!variant.empty())
+            s += "/" + variant;
+        if (!p.recordPath.empty())
+            s += "/record=" + p.recordPath;
+        if (!p.saveCheckpointPath.empty())
+            s += "/save=" + p.saveCheckpointPath;
+        if (!p.restoreCheckpointPath.empty())
+            s += "/restore=" + p.restoreCheckpointPath;
+    }
+    return csprintf("%016llx",
+                    (unsigned long long)Rng::hashString(s));
+}
 
 std::string
 SweepJournal::pathFor(const std::string &dir, const std::string &bench)
@@ -65,24 +284,22 @@ SweepJournal::pathFor(const std::string &dir, const std::string &bench)
     return dir + "/journal_" + safe + ".jsonl";
 }
 
-SweepJournal::SweepJournal(std::string path, std::string bench,
-                           std::string request_key,
-                           std::size_t points,
-                           std::size_t warmup_groups, bool fresh)
-    : path(std::move(path)), bench(std::move(bench)),
-      requestKey(std::move(request_key)), points(points),
-      warmupGroups(warmup_groups)
+SweepJournal::SweepJournal(const std::string &dir, std::string bench,
+                           const SweepRequest &request)
+    : path(pathFor(dir, bench)), bench(std::move(bench)),
+      requestKey(sweepRequestKey(request)),
+      points(request.points.size())
 {
-    load(points, fresh);
+    load();
     rewrite();
 }
 
 void
-SweepJournal::load(std::size_t total_points, bool fresh)
+SweepJournal::load()
 {
     std::ifstream in(path);
-    if (!in || fresh)
-        return; // nothing to resume (or resume declined)
+    if (!in)
+        return; // nothing to resume
 
     std::string line;
     if (!std::getline(in, line) || line.empty())
@@ -94,15 +311,14 @@ SweepJournal::load(std::size_t total_points, bool fresh)
     } catch (const JsonParseError &e) {
         throw JournalError(csprintf(
             "journal %s has an unreadable header (%s) — delete it "
-            "or rerun with --fresh to start over",
+            "to start over",
             path.c_str(), e.what()));
     }
     const JsonValue *schema = header.find("schema");
     if (schema == nullptr || !schema->isString() ||
         schema->asString() != journalSchema)
         throw JournalError(csprintf(
-            "journal %s is not a %s file — delete it or rerun "
-            "with --fresh to start over",
+            "journal %s is not a %s file — delete it to start over",
             path.c_str(), journalSchema));
     const JsonValue *key = header.find("requestKey");
     if (key == nullptr || !key->isString() ||
@@ -110,16 +326,15 @@ SweepJournal::load(std::size_t total_points, bool fresh)
         throw JournalError(csprintf(
             "journal %s was written by a different sweep "
             "(requestKey %s, this request is %s) — the grids, "
-            "windows or seed differ; rerun with --fresh to discard "
-            "it or point the checkpoint directory elsewhere",
+            "windows or seed differ; delete %s to start over or "
+            "point the checkpoint directory elsewhere",
             path.c_str(),
             key != nullptr && key->isString()
                 ? key->asString().c_str()
                 : "<missing>",
-            requestKey.c_str()));
+            requestKey.c_str(), path.c_str()));
 
-    // Entries: skip duplicates (a respawned coordinator can re-run a
-    // point whose append raced the kill), keep the first, tolerate
+    // Entries: keep the first of any duplicate index, tolerate
     // exactly one torn line at the tail.
     std::map<std::size_t, PointOutcome> seen;
     std::size_t lineno = 1;
@@ -133,25 +348,20 @@ SweepJournal::load(std::size_t total_points, bool fresh)
         bool at_tail = in.peek() == std::ifstream::traits_type::eof();
         try {
             JsonValue doc = jsonParse(text);
-            const JsonValue *point = doc.find("point");
-            const JsonValue *outcome = doc.find("outcome");
-            if (point == nullptr || outcome == nullptr)
-                throw CodecError(
-                    "entry needs \"point\" and \"outcome\"");
             std::size_t idx =
-                static_cast<std::size_t>(point->asUInt64());
-            if (idx >= total_points)
+                static_cast<std::size_t>(u64Member(doc, "point"));
+            if (idx >= points)
                 throw JournalError(csprintf(
                     "journal %s line %zu names point %zu of a "
                     "%zu-point grid — the journal belongs to a "
-                    "different request; rerun with --fresh",
-                    path.c_str(), lineno, idx, total_points));
-            seen.emplace(idx, outcomeFromWireJson(*outcome));
+                    "different request; delete it to start over",
+                    path.c_str(), lineno, idx, points));
+            seen.emplace(idx, decodeOutcome(member(doc, "outcome")));
         } catch (const JournalError &) {
             throw;
         } catch (const std::exception &e) {
             if (at_tail) {
-                // The coordinator died mid-append; the entry never
+                // The sweep died mid-append; the entry never
                 // finished, so the point simply reruns.
                 warn("journal %s: dropping torn final line %zu",
                      path.c_str(), lineno);
@@ -159,7 +369,7 @@ SweepJournal::load(std::size_t total_points, bool fresh)
             }
             throw JournalError(csprintf(
                 "journal %s line %zu is corrupt (%s) — delete the "
-                "journal or rerun with --fresh to start over",
+                "journal to start over",
                 path.c_str(), lineno, e.what()));
         }
     }
@@ -188,8 +398,7 @@ SweepJournal::rewrite()
             throw JournalError(csprintf(
                 "cannot write journal %s: %s", tmp.c_str(),
                 std::strerror(errno)));
-        out << headerLine(bench, requestKey, points, warmupGroups)
-            << '\n';
+        out << headerLine(bench, requestKey, points) << '\n';
         for (const JournalEntry &e : entries)
             out << entryLine(e.index, e.outcome) << '\n';
         out.flush();

@@ -1,13 +1,18 @@
 /**
  * @file
- * The completed-point journal behind resumable distributed sweeps:
- * one JSONL file per bench in the sweep's checkpointDir. Line 1 is a
- * header binding the journal to a specific request (sweepRequestKey
- * over the expanded grid); every later line records one completed
- * grid point's outcome through the result codec. A coordinator
- * killed mid-run reopens the journal, skips every journaled point
- * and re-serves the rest from the persisted warmup snapshots — zero
- * recomputed points, zero re-simulated warmups.
+ * The completed-point journal behind resumable sweeps: one JSONL file
+ * per bench in the sweep's checkpointDir. Line 1 is a header binding
+ * the journal to a specific request (sweepRequestKey over the expanded
+ * grid); every later line records one completed grid point's outcome.
+ * A sweep killed mid-run reopens the journal, skips every journaled
+ * point and re-serves the rest from the persisted warmup snapshots —
+ * zero recomputed points, zero re-simulated warmups.
+ *
+ * Entry lines are lossless: `statsJson` travels as an escaped JSON
+ * string member (a nested object would funnel 64-bit counters through
+ * doubles on re-parse), and ipfc/ipc render through the same "%.17g"
+ * path as the BENCH records, so a journaled result still produces
+ * byte-identical BENCH_*.json output.
  */
 
 #ifndef SMTFETCH_SIM_JOURNAL_HH
@@ -25,6 +30,8 @@
 namespace smt
 {
 
+class JsonValue;
+
 /** User-facing journal problem: unreadable file, header mismatch. */
 class JournalError : public std::runtime_error
 {
@@ -41,22 +48,19 @@ struct JournalEntry
 
 /**
  * Open-or-create journal for one (bench, request) pair. Loading
- * tolerates a torn final line (the coordinator was killed mid-append)
- * by truncating to the last complete entry; any other corruption or a
- * header naming a different request/grid throws JournalError with the
- * fix spelled out. append() is thread-safe and flushes per line so a
- * SIGKILL never loses more than the entry being written.
+ * tolerates a torn final line (the sweep was killed mid-append) by
+ * truncating to the last complete entry; any other corruption or a
+ * header naming a different request/grid throws JournalError naming
+ * the file to delete. append() is thread-safe and flushes per line so
+ * a SIGKILL never loses more than the entry being written.
  */
 class SweepJournal
 {
   public:
-    /**
-     * @param fresh discard any existing journal instead of resuming
-     *        from it (the --fresh flag).
-     */
-    SweepJournal(std::string path, std::string bench,
-                 std::string request_key, std::size_t points,
-                 std::size_t warmup_groups, bool fresh);
+    /** Open pathFor(dir, bench) for `request`, resuming from any
+     *  entries an earlier run of the same request left there. */
+    SweepJournal(const std::string &dir, std::string bench,
+                 const SweepRequest &request);
 
     /** Entries recovered from disk, one per already-done point
      *  (deduplicated, ascending index order). */
@@ -67,14 +71,12 @@ class SweepJournal
 
     void append(std::size_t index, const PointOutcome &outcome);
 
-    const std::string &filePath() const { return path; }
-
     /** "journal_<bench>.jsonl" inside the checkpoint directory. */
     static std::string pathFor(const std::string &dir,
                                const std::string &bench);
 
   private:
-    void load(std::size_t points, bool fresh);
+    void load();
     void rewrite();
 
     std::mutex m;
@@ -82,10 +84,25 @@ class SweepJournal
     std::string bench;
     std::string requestKey;
     std::size_t points;
-    std::size_t warmupGroups;
     std::vector<JournalEntry> entries;
     std::ofstream os;
 };
+
+/** @name Entry codec (compact single-line JSON documents). */
+/// @{
+/** The outcome codec carries the result plus the served-by sideband
+ *  (warmup/restored/direct, timings) the sweep accounting needs. */
+std::string encodeOutcome(const PointOutcome &outcome);
+PointOutcome decodeOutcome(const JsonValue &doc);
+/// @}
+
+/**
+ * Identity hash of a whole request — windows, seed, cycle-skip and
+ * every expanded grid point in order. The journal header records it
+ * so a resume against a different spec fails fast instead of merging
+ * unrelated results.
+ */
+std::string sweepRequestKey(const SweepRequest &request);
 
 } // namespace smt
 

@@ -1,5 +1,7 @@
 #include "sim/scheduler.hh"
 
+#include <sched.h>
+
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,22 +61,18 @@ checkRecordPathsUnique(const std::vector<GridPoint> &points)
 
 } // namespace
 
-SweepScheduler::Job::Job(const SweepRequest &request, std::string name,
-                         WarmupSnapshotCache *cache,
-                         const std::string &default_snapshot_dir,
-                         SubmitOptions options)
-    : name(std::move(name)), points(request.points),
+SweepScheduler::Job::Job(const SweepRequest &request,
+                         WarmupSnapshotCache *cache, SubmitOptions options)
+    : points(request.points),
       executor(ExecutorParams{request.warmupCycles,
                               request.measureCycles, request.seed,
                               request.cycleSkip},
                request.reuseEnabled() ? cache : nullptr,
-               !request.checkpointDir.empty() ? request.checkpointDir
-                                              : default_snapshot_dir),
+               request.checkpointDir),
       reuseEnabled(request.reuseEnabled() &&
                    (cache != nullptr || options.runner != nullptr)),
       runner(std::move(options.runner)),
-      journal(std::move(options.journal)),
-      groupGate(options.groupGate && request.reuseEnabled())
+      journal(std::move(options.journal))
 {
     report.results.resize(points.size());
     auto &t = report.timing;
@@ -91,46 +89,42 @@ SweepScheduler::Job::Job(const SweepRequest &request, std::string name,
         }
         t.warmupGroups = keys.size();
     }
-    if (groupGate) {
-        groupKeys.reserve(points.size());
-        for (const GridPoint &p : points)
-            groupKeys.push_back(PointExecutor::reusable(p)
-                                    ? executor.warmupKey(p)
-                                    : std::string());
-    }
 
     // Prefill journaled completions: the report carries their
-    // original results and timings, they are never claimed, and
-    // their warmup groups count as published (the leading run's
-    // snapshot is in the checkpointDir disk tier).
+    // original results and timings, and they are never claimed.
     std::vector<bool> done(points.size(), false);
     for (JournalEntry &e : options.precompleted) {
         if (e.index >= points.size() || done[e.index])
             continue;
         done[e.index] = true;
         report.results[e.index] = std::move(e.outcome.result);
-        ++completed;
         ++t.journaledPoints;
         t.warmupSeconds += e.outcome.warmupSeconds;
         t.measureSeconds += e.outcome.measureSeconds;
-        if (groupGate && !e.outcome.direct &&
-            !groupKeys[e.index].empty())
-            readyGroups.insert(groupKeys[e.index]);
     }
     for (std::size_t i = 0; i < points.size(); ++i)
         if (!done[i])
             pending.push_back(i);
 }
 
-SweepScheduler::SweepScheduler(unsigned workers,
-                               WarmupSnapshotCache *cache,
-                               std::string default_snapshot_dir)
-    : cache(cache), defaultSnapshotDir(std::move(default_snapshot_dir))
+unsigned
+defaultSweepWorkers()
 {
-    if (workers == 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        workers = hw == 0 ? 4 : hw;
-    }
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0 &&
+        CPU_COUNT(&set) > 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
+
+SweepScheduler::SweepScheduler(unsigned workers,
+                               WarmupSnapshotCache *cache)
+    : cache(cache)
+{
+    if (workers == 0)
+        workers = defaultSweepWorkers();
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
         pool.emplace_back([this] { workerLoop(); });
@@ -148,20 +142,12 @@ SweepScheduler::~SweepScheduler()
 }
 
 SweepScheduler::JobId
-SweepScheduler::submit(const SweepRequest &request, std::string name)
-{
-    return submit(request, std::move(name), SubmitOptions{});
-}
-
-SweepScheduler::JobId
-SweepScheduler::submit(const SweepRequest &request, std::string name,
+SweepScheduler::submit(const SweepRequest &request, std::string,
                        SubmitOptions options)
 {
     checkRecordPathsUnique(request.points);
 
-    auto job = std::make_unique<Job>(request, std::move(name), cache,
-                                     defaultSnapshotDir,
-                                     std::move(options));
+    auto job = std::make_unique<Job>(request, cache, std::move(options));
     job->submitTime = SteadyClock::now();
     job->evictionsAtSubmit =
         (job->reuseEnabled && cache) ? cache->stats().evictions : 0;
@@ -172,57 +158,13 @@ SweepScheduler::submit(const SweepRequest &request, std::string name,
     jobs.emplace(id, std::move(job));
     if (ref.pending.empty()) {
         // Empty grid, or every point was already journaled by a
-        // previous run: terminal immediately.
-        finalizeLocked(ref, JobState::Done);
+        // previous run: finished immediately.
+        finalizeLocked(ref);
     } else {
         runQueue.push_back(id);
-        ref.tokenQueued = true;
         cvWork.notify_all();
     }
     return id;
-}
-
-bool
-SweepScheduler::cancel(JobId id)
-{
-    std::lock_guard<std::mutex> lock(m);
-    auto it = jobs.find(id);
-    if (it == jobs.end())
-        return false;
-    Job &job = *it->second;
-    if (job.state != JobState::Queued &&
-        job.state != JobState::Running)
-        return false;
-    job.cancelRequested = true;
-    job.pending.clear(); // stop further claims
-    if (job.inFlight == 0)
-        finalizeLocked(job, JobState::Cancelled);
-    return true;
-}
-
-std::optional<SweepScheduler::JobStatus>
-SweepScheduler::status(JobId id) const
-{
-    std::lock_guard<std::mutex> lock(m);
-    auto it = jobs.find(id);
-    if (it == jobs.end())
-        return std::nullopt;
-    const Job &job = *it->second;
-    JobStatus s;
-    s.state = job.state;
-    s.name = job.name;
-    s.totalPoints = job.points.size();
-    s.completedPoints = job.completed;
-    if (job.state == JobState::Cancelled ||
-        job.state == JobState::Failed)
-        s.cancelledPoints = job.points.size() - job.completed;
-    s.warmupRuns = job.report.timing.warmupRuns;
-    s.restoredRuns = job.report.timing.restoredRuns;
-    s.journaledPoints = job.report.timing.journaledPoints;
-    s.error = job.errorText;
-    s.firstDoneSeq = job.firstDoneSeq;
-    s.lastDoneSeq = job.lastDoneSeq;
-    return s;
 }
 
 SweepReport
@@ -235,39 +177,17 @@ SweepScheduler::wait(JobId id)
             csprintf("unknown sweep job id %llu",
                      (unsigned long long)id));
     Job &job = *it->second;
-    cvDone.wait(lock, [&] {
-        return job.state == JobState::Done ||
-               job.state == JobState::Failed ||
-               job.state == JobState::Cancelled;
-    });
-    if (job.state == JobState::Failed) {
-        if (job.error)
-            std::rethrow_exception(job.error);
-        throw std::runtime_error("sweep failed: " + job.errorText);
-    }
-    if (job.state == JobState::Cancelled)
-        throw std::runtime_error(
-            job.name.empty()
-                ? std::string("sweep cancelled")
-                : "sweep cancelled: " + job.name);
+    cvDone.wait(lock, [&] { return job.finished; });
+    if (job.error)
+        std::rethrow_exception(job.error);
     return job.report;
 }
 
-const SweepReport *
-SweepScheduler::report(JobId id) const
-{
-    std::lock_guard<std::mutex> lock(m);
-    auto it = jobs.find(id);
-    if (it == jobs.end() || it->second->state != JobState::Done)
-        return nullptr;
-    return &it->second->report;
-}
-
 void
-SweepScheduler::finalizeLocked(Job &job, JobState terminal)
+SweepScheduler::finalizeLocked(Job &job)
 {
     auto &t = job.report.timing;
-    if (terminal == JobState::Done) {
+    if (!job.error) {
         for (const auto &r : job.report.results) {
             t.simulatedCycles += r.measureCycles;
             t.committedInsts += r.stats.instsCommitted;
@@ -282,34 +202,13 @@ SweepScheduler::finalizeLocked(Job &job, JobState terminal)
         t.cacheEvictions = now - job.evictionsAtSubmit;
     }
     t.sweepSeconds = secondsSince(job.submitTime);
-    job.state = terminal;
-    // Release the remote backend deterministically: dropping the
-    // last runner reference tears the job's worker-process pool
-    // down now, not when the scheduler is destroyed. Safe here —
-    // the job is drained, so no thread is inside the runner.
+    job.finished = true;
+    // Release the runner's captures and close the journal now, not
+    // when the scheduler is destroyed. Safe here — the job is
+    // drained, so no thread is inside the runner.
     job.runner = nullptr;
     job.journal.reset();
     cvDone.notify_all();
-}
-
-std::optional<std::size_t>
-SweepScheduler::claimLocked(Job &job)
-{
-    for (auto it = job.pending.begin(); it != job.pending.end();
-         ++it) {
-        if (job.groupGate) {
-            const std::string &key = job.groupKeys[*it];
-            if (!key.empty() && !job.readyGroups.count(key)) {
-                if (job.leadingGroups.count(key))
-                    continue; // a leader is warming this group up
-                job.leadingGroups.insert(key);
-            }
-        }
-        std::size_t i = *it;
-        job.pending.erase(it);
-        return i;
-    }
-    return std::nullopt;
 }
 
 void
@@ -324,26 +223,18 @@ SweepScheduler::workerLoop()
 
         JobId id = runQueue.front();
         runQueue.pop_front();
-        auto it = jobs.find(id);
-        if (it == jobs.end())
-            continue;
-        Job &job = *it->second;
-        job.tokenQueued = false;
+        Job &job = *jobs.at(id);
         if (job.pending.empty())
-            continue; // tombstone token (cancelled/failed/drained)
+            continue; // tombstone token (failed job)
 
-        // Claim exactly one dispatchable point, then send the job to
-        // the back of the queue: concurrent sweeps interleave
-        // point-by-point instead of draining whole-sweep FIFO.
-        auto claim = claimLocked(job);
-        if (!claim)
-            continue; // every pending point waits on a warmup
-                      // leader; its completion re-queues the token
-        std::size_t i = *claim;
+        // Claim exactly one point, then send the job to the back of
+        // the queue: concurrent sweeps interleave point-by-point
+        // instead of draining whole-sweep FIFO.
+        std::size_t i = job.pending.front();
+        job.pending.pop_front();
         ++job.inFlight;
         if (!job.pending.empty()) {
             runQueue.push_back(id);
-            job.tokenQueued = true;
             cvWork.notify_one();
         }
 
@@ -365,27 +256,11 @@ SweepScheduler::workerLoop()
 
         --job.inFlight;
         if (error) {
-            if (!job.error) {
+            if (!job.error)
                 job.error = error;
-                try {
-                    std::rethrow_exception(error);
-                } catch (const std::exception &e) {
-                    job.errorText = e.what();
-                } catch (...) {
-                    job.errorText = "unknown error";
-                }
-            }
             job.pending.clear(); // stop further claims
         } else {
             job.report.results[i] = std::move(outcome.result);
-            ++job.completed;
-            std::uint64_t seq = ++doneSeq;
-            if (job.firstDoneSeq == 0)
-                job.firstDoneSeq = seq;
-            job.lastDoneSeq = seq;
-            if (job.state == JobState::Queued)
-                job.state = JobState::Running;
-
             auto &t = job.report.timing;
             t.warmupSeconds += outcome.warmupSeconds;
             t.measureSeconds += outcome.measureSeconds;
@@ -400,33 +275,10 @@ SweepScheduler::workerLoop()
                 else
                     ++t.cacheHits;
             }
-            if (job.groupGate && !job.groupKeys[i].empty()) {
-                job.leadingGroups.erase(job.groupKeys[i]);
-                job.readyGroups.insert(job.groupKeys[i]);
-            }
         }
 
-        // A completion can unblock gated siblings (their leader just
-        // published its snapshot); make sure the job has a token.
-        if (!job.tokenQueued && !job.pending.empty()) {
-            runQueue.push_back(id);
-            job.tokenQueued = true;
-            cvWork.notify_one();
-        }
-
-        bool drained = job.inFlight == 0 && job.pending.empty();
-        if (drained && job.state != JobState::Done &&
-            job.state != JobState::Failed &&
-            job.state != JobState::Cancelled) {
-            JobState terminal = JobState::Done;
-            if (job.error)
-                terminal = JobState::Failed;
-            else if (job.cancelRequested)
-                terminal = JobState::Cancelled;
-            else if (job.completed != job.points.size())
-                terminal = JobState::Failed; // unreachable guard
-            finalizeLocked(job, terminal);
-        }
+        if (job.inFlight == 0 && job.pending.empty())
+            finalizeLocked(job);
     }
 }
 

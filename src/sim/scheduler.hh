@@ -3,11 +3,11 @@
  * The scheduler half of the ExperimentRunner split: SweepScheduler
  * owns a bounded worker pool and a round-robin run queue of submitted
  * sweeps. Each worker claims ONE grid point from the job at the front
- * of the queue, then sends the job to the back, so concurrent
- * sweeps — e.g. several serve clients — make fair interleaved
- * progress instead of queueing whole-sweep FIFO. Points themselves
- * run through a PointExecutor (sim/executor.hh), which shares warmup
- * snapshots through the scheduler's WarmupSnapshotCache.
+ * of the queue, then sends the job to the back, so concurrent sweeps
+ * make fair interleaved progress instead of queueing whole-sweep
+ * FIFO. Points themselves run through a PointExecutor
+ * (sim/executor.hh), which shares warmup snapshots through the
+ * scheduler's WarmupSnapshotCache.
  */
 
 #ifndef SMTFETCH_SIM_SCHEDULER_HH
@@ -22,10 +22,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/executor.hh"
@@ -38,6 +36,36 @@ namespace smt
 class WarmupSnapshotCache;
 
 /**
+ * Executes one claimed grid point (given its grid index) instead of
+ * the in-process PointExecutor. Called outside the scheduler lock from
+ * worker threads; must be thread-safe; throwing fails the job like an
+ * executor throw.
+ */
+using PointRunner =
+    std::function<PointOutcome(std::size_t, const GridPoint &)>;
+
+/** Per-submit extras: a custom point runner and resume support. */
+struct SweepSubmitOptions
+{
+    /** Non-null routes every point through this runner. */
+    PointRunner runner;
+
+    /** Journal every completed point here (resume support). */
+    std::shared_ptr<SweepJournal> journal;
+
+    /** Points already completed by a previous run: prefilled
+     *  into the report, never claimed, never re-simulated. */
+    std::vector<JournalEntry> precompleted;
+};
+
+/**
+ * The default worker-pool size: the CPUs this thread may run on (its
+ * affinity mask, so `taskset` and cpusets are honoured), falling back
+ * to std::thread::hardware_concurrency, and never 0.
+ */
+unsigned defaultSweepWorkers();
+
+/**
  * Queues SweepRequests and runs their grid points across a bounded
  * worker pool. Thread-safe throughout; jobs (and their reports) live
  * until the scheduler is destroyed.
@@ -46,200 +74,71 @@ class SweepScheduler
 {
   public:
     using JobId = std::uint64_t;
-
-    enum class JobState
-    {
-        Queued,   //!< submitted, no point finished yet
-        Running,  //!< at least one point finished
-        Done,     //!< every point finished; report available
-        Failed,   //!< a point threw; error captures the message
-        Cancelled //!< cancelled before every point finished
-    };
-
-    /** A point-granularity progress snapshot. */
-    struct JobStatus
-    {
-        JobState state = JobState::Queued;
-        std::string name;
-        std::size_t totalPoints = 0;
-        std::size_t completedPoints = 0;
-
-        /** Points skipped by cancellation (terminal states only). */
-        std::size_t cancelledPoints = 0;
-
-        /** Warmups this job led / points served by snapshot
-         *  restore so far (the cache-effectiveness live view). */
-        std::size_t warmupRuns = 0;
-        std::size_t restoredRuns = 0;
-
-        /** Points satisfied from a resume journal at submit time
-         *  (distributed sweeps; included in completedPoints). */
-        std::size_t journaledPoints = 0;
-
-        /** What went wrong (Failed only). */
-        std::string error;
-
-        /**
-         * Global completion sequence numbers of this job's first and
-         * last finished point (0 when none finished yet). Every point
-         * completion in the scheduler — across all jobs — gets the
-         * next number, so interleaving between concurrent jobs is
-         * directly observable: under round-robin, a short job
-         * submitted second still finishes before a long job submitted
-         * first.
-         */
-        std::uint64_t firstDoneSeq = 0;
-        std::uint64_t lastDoneSeq = 0;
-    };
+    using SubmitOptions = SweepSubmitOptions;
 
     /**
-     * @param workers pool size; 0 picks the host concurrency.
+     * @param workers pool size; 0 picks defaultSweepWorkers().
      * @param cache shared warmup-snapshot cache for reuse-enabled
      *        requests (null: every request runs the direct path).
-     * @param default_snapshot_dir disk tier for reuse-enabled
-     *        requests that don't name their own checkpointDir
-     *        (empty: memory-only for those requests).
      */
     explicit SweepScheduler(unsigned workers = 0,
-                            WarmupSnapshotCache *cache = nullptr,
-                            std::string default_snapshot_dir = "");
+                            WarmupSnapshotCache *cache = nullptr);
     ~SweepScheduler();
 
     SweepScheduler(const SweepScheduler &) = delete;
     SweepScheduler &operator=(const SweepScheduler &) = delete;
 
     /**
-     * Executes one claimed grid point somewhere other than this
-     * process (the distributed coordinator's worker pool). Called
-     * outside the scheduler lock from worker threads; must be
-     * thread-safe; throwing fails the job like an executor throw.
-     */
-    using PointRunner =
-        std::function<PointOutcome(std::size_t, const GridPoint &)>;
-
-    /** Per-submit extras for distributed/resumable sweeps. */
-    struct SubmitOptions
-    {
-        /** Non-null routes every point through this instead of the
-         *  in-process PointExecutor. */
-        PointRunner runner;
-
-        /** Journal every completed point here (resume support). */
-        std::shared_ptr<SweepJournal> journal;
-
-        /** Points already completed by a previous run: prefilled
-         *  into the report, never claimed, never re-simulated. */
-        std::vector<JournalEntry> precompleted;
-
-        /**
-         * Dispatch at most one point per not-yet-warmed warmup
-         * group at a time, so a group's first point publishes the
-         * disk snapshot before its siblings (possibly in other
-         * worker processes, which share nothing but the disk tier)
-         * are dispatched. Warmups then run once per group across
-         * the whole fleet. Only meaningful with a runner whose
-         * executors persist snapshots to a shared checkpointDir.
-         */
-        bool groupGate = false;
-    };
-
-    /**
      * Queue a sweep. Validates the request up front (duplicate
      * record paths throw std::invalid_argument) and precomputes the
-     * warmup grouping. Returns immediately.
+     * warmup grouping. Returns immediately. `name` labels the sweep
+     * for the caller only; the scheduler does not read it.
      */
-    JobId submit(const SweepRequest &request, std::string name = "");
-
-    /** Queue a sweep with distributed/resume extras. */
-    JobId submit(const SweepRequest &request, std::string name,
-                 SubmitOptions options);
+    JobId submit(const SweepRequest &request, std::string name = "",
+                 SubmitOptions options = {});
 
     /**
-     * Stop scheduling a job's remaining points. Points already
-     * executing finish (and are reported); pending points are
-     * skipped. Returns false when the job is unknown or already
-     * terminal.
-     */
-    bool cancel(JobId id);
-
-    /** Progress snapshot; nullopt for unknown ids. */
-    std::optional<JobStatus> status(JobId id) const;
-
-    /**
-     * Block until the job is terminal. Returns the report on Done,
-     * rethrows the failing point's exception on Failed, throws
-     * std::runtime_error on Cancelled.
+     * Block until every point of the job has finished. Returns the
+     * report, or rethrows the first failing point's exception.
      */
     SweepReport wait(JobId id);
-
-    /** The finished report; null unless the job is Done. */
-    const SweepReport *report(JobId id) const;
-
-    /** Pool size (for status/introspection). */
-    unsigned workerCount() const { return (unsigned)pool.size(); }
 
   private:
     struct Job
     {
-        std::string name;
         std::vector<GridPoint> points;
         PointExecutor executor;
         bool reuseEnabled = false;
-
-        /** Distributed/resume extras (see SubmitOptions). */
         PointRunner runner;
         std::shared_ptr<SweepJournal> journal;
-        bool groupGate = false;
-        std::vector<std::string> groupKeys; //!< gating only; ""=free
-        std::unordered_set<std::string> readyGroups;
-        std::unordered_set<std::string> leadingGroups;
 
-        JobState state = JobState::Queued;
         std::deque<std::size_t> pending; //!< unclaimed, grid order
-        bool tokenQueued = false; //!< this job has a runQueue token
         std::size_t inFlight = 0; //!< points executing right now
-        std::size_t completed = 0;
-        bool cancelRequested = false;
-        std::exception_ptr error;
-        std::string errorText;
+        bool finished = false;    //!< drained; report or error final
+        std::exception_ptr error; //!< the first failing point's
 
         SweepReport report; //!< results grow in place, grid order
-        std::uint64_t firstDoneSeq = 0;
-        std::uint64_t lastDoneSeq = 0;
         std::uint64_t evictionsAtSubmit = 0;
         std::chrono::steady_clock::time_point submitTime;
 
-        Job(const SweepRequest &request, std::string name,
-            WarmupSnapshotCache *cache,
-            const std::string &default_snapshot_dir,
+        Job(const SweepRequest &request, WarmupSnapshotCache *cache,
             SubmitOptions options);
     };
 
     void workerLoop();
 
-    /**
-     * Under `m`: pick the first dispatchable pending point. Local
-     * jobs always take the front (grid-order FIFO); gated jobs skip
-     * points whose warmup group has an in-flight leader and no
-     * published snapshot yet. nullopt when every pending point is
-     * gated (a completion re-queues the job's token).
-     */
-    std::optional<std::size_t> claimLocked(Job &job);
+    /** Under `m`: mark a drained job finished and wake waiters. */
+    void finalizeLocked(Job &job);
 
-    /** Under `m`: move a drained job to its terminal state. */
-    void finalizeLocked(Job &job, JobState terminal);
-
-    mutable std::mutex m;
+    std::mutex m;
     std::condition_variable cvWork; //!< run-queue pushes
-    std::condition_variable cvDone; //!< job state transitions
+    std::condition_variable cvDone; //!< jobs finishing
     std::map<JobId, std::unique_ptr<Job>> jobs;
     std::deque<JobId> runQueue; //!< ≤ 1 token per unfinished job
     JobId nextId = 1;
-    std::uint64_t doneSeq = 0; //!< global completion counter
     bool stopping = false;
 
     WarmupSnapshotCache *cache;
-    std::string defaultSnapshotDir;
     std::vector<std::thread> pool;
 };
 

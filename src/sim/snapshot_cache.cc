@@ -138,7 +138,7 @@ WarmupSnapshotCache::fulfil(const std::string &key,
                 // full disks, on permission changes — name the
                 // reason, the temp file AND the counter, so a disk
                 // tier that silently persists nothing is visible in
-                // /v1/status instead of just slow.
+                // the cache stats instead of just slow.
                 int err = errno;
                 std::remove(tmp.c_str());
                 warn("cannot move warmup checkpoint into place: "
@@ -192,14 +192,7 @@ WarmupSnapshotCache::insertLocked(const std::string &key,
     lru.push_front(key);
     entries.emplace(key, Entry{std::move(snapshot), lru.begin()});
     counters.bytes += entries.at(key).snapshot->size();
-    counters.entries = entries.size();
     ++counters.insertions;
-    evictToBudgetLocked();
-}
-
-void
-WarmupSnapshotCache::evictToBudgetLocked()
-{
     while (counters.bytes > maxBytes && !lru.empty()) {
         const std::string &victim = lru.back();
         auto it = entries.find(victim);
@@ -216,15 +209,6 @@ WarmupSnapshotCache::stats() const
 {
     std::lock_guard<std::mutex> lock(m);
     return counters;
-}
-
-void
-WarmupSnapshotCache::setMaxBytes(std::size_t max_bytes)
-{
-    std::lock_guard<std::mutex> lock(m);
-    maxBytes = max_bytes;
-    counters.maxBytes = max_bytes;
-    evictToBudgetLocked();
 }
 
 } // namespace smt

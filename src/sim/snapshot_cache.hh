@@ -1,10 +1,11 @@
 /**
  * @file
- * Process-wide warmup-snapshot cache: a size-limited in-memory LRU of
+ * Shared warmup-snapshot cache: a size-limited in-memory LRU of
  * post-warmup simulator checkpoints keyed by warmupConfigKey, with an
  * optional persistent on-disk tier and single-flight warmup leasing
- * so a popular warmup configuration is simulated once ever — across
- * grid points, sweeps, and (through the serve daemon) clients.
+ * so a popular warmup configuration is simulated once — across grid
+ * points, concurrent sweeps sharing the cache, and (through the disk
+ * tier) later runs.
  */
 
 #ifndef SMTFETCH_SIM_SNAPSHOT_CACHE_HH
@@ -33,7 +34,7 @@ namespace smt
  *  - disk: a directory of `smtckpt_<confighash>.ckpt` files (the
  *    PR 4 checkpointDir format), consulted on a memory miss and
  *    written through on fulfil. The directory is a per-call
- *    parameter, so one process-wide cache can serve requests with
+ *    parameter, so one shared cache can serve requests with
  *    different (or no) persistent tiers.
  *
  * Warmup de-duplication uses single-flight leases: the first caller
@@ -114,9 +115,6 @@ class WarmupSnapshotCache
 
     Stats stats() const;
 
-    /** Adjust the memory budget; evicts immediately if shrinking. */
-    void setMaxBytes(std::size_t max_bytes);
-
     /** The disk-tier file for a warmup key (PR 4 cache naming). */
     static std::string diskPathFor(const std::string &disk_dir,
                                    const std::string &key);
@@ -136,7 +134,6 @@ class WarmupSnapshotCache
 
     /** Insert under `m`; evicts LRU tails past the byte budget. */
     void insertLocked(const std::string &key, SnapshotPtr snapshot);
-    void evictToBudgetLocked();
 
     mutable std::mutex m;
     std::condition_variable cv;
@@ -144,7 +141,7 @@ class WarmupSnapshotCache
     std::list<std::string> lru; //!< front = most recent
     std::unordered_map<std::string, std::shared_ptr<Inflight>>
         inflight;
-    std::size_t maxBytes;
+    const std::size_t maxBytes;
     Stats counters;
 };
 

@@ -588,31 +588,6 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
                 specFail(context,
                          "checkpointDir must not be empty (omit the "
                          "key to keep snapshots in memory)");
-        } else if (key == "distributed") {
-            if (!value.isObject())
-                specFail(context,
-                         csprintf("distributed must be an object "
-                                  "like {\"workers\": 4}, found %s",
-                                  value.kindName()));
-            for (const auto &[dkey, dvalue] : value.asObject()) {
-                if (dkey == "workers") {
-                    std::uint64_t w = uintValue(
-                        dvalue, context, "distributed.workers");
-                    if (w == 0 || w > 256)
-                        specFail(context,
-                                 csprintf("distributed.workers must "
-                                          "be in [1, 256], found "
-                                          "%llu",
-                                          (unsigned long long)w));
-                    spec.distributedWorkers =
-                        static_cast<unsigned>(w);
-                } else {
-                    specFail(context,
-                             csprintf("unknown distributed key "
-                                      "\"%s\" (known: workers)",
-                                      dkey.c_str()));
-                }
-            }
         } else if (key == "instructions") {
             spec.instructions =
                 uintValue(value, context, "instructions");
@@ -628,7 +603,7 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
                               "name, type, warmupCycles, "
                               "measureCycles, seed, output, "
                               "checkpointAfterWarmup, checkpointDir, "
-                              "cycleSkip, distributed, instructions, "
+                              "cycleSkip, instructions, "
                               "sweeps, workloads, engines, policies, "
                               "selection, overrides)",
                               key.c_str()));

@@ -123,16 +123,6 @@ struct SweepSpec
      *  by configuration hash); implies checkpointAfterWarmup. */
     std::string checkpointDir;
 
-    /**
-     * Run this spec across N spawned `smtsim worker` processes
-     * instead of in-process threads ({"distributed": {"workers":
-     * N}}). Honoured by `smtsim sweep` and the serve daemon; the
-     * plain `smtsim <spec>` runner ignores it. With a checkpointDir
-     * the run journals completed points there and resumes after a
-     * kill. 0 = not distributed.
-     */
-    unsigned distributedWorkers = 0;
-
     std::vector<SweepBlock> sweeps;
 
     std::string
@@ -146,10 +136,8 @@ struct SweepSpec
 
     /**
      * The full SweepRequest this spec describes: the expanded grid
-     * plus windows, seed, cycle-skip and warmup-reuse settings. Both
-     * frontends — `smtsim <spec>` and the serve daemon — run exactly
-     * this request, so a spec accepted by one behaves identically on
-     * the other.
+     * plus windows, seed, cycle-skip and warmup-reuse settings —
+     * exactly what `smtsim <spec>` and the bench wrappers run.
      */
     SweepRequest makeRequest() const;
 

@@ -1,12 +1,16 @@
 /**
  * @file
  * SweepScheduler tests: fair round-robin interleaving of concurrent
- * sweeps (observed through the global completion sequence numbers),
- * clean mid-sweep cancellation, failure propagation, warmup sharing
- * across jobs through one snapshot cache, and bit-identical results
- * regardless of worker count.
+ * sweeps (observed through a recording point runner), failure
+ * propagation, warmup sharing across jobs through one snapshot cache,
+ * bit-identical results regardless of worker count, and a default
+ * pool size that honours the CPU affinity mask.
  */
 
+#include <sched.h>
+
+#include <future>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,20 +40,6 @@ shortRequest(const std::string &workload, std::size_t n_points,
     return request;
 }
 
-/**
- * A single expensive point that keeps the (sole) worker busy long
- * enough for the test body to stage the run queue behind it.
- */
-SweepRequest
-plugRequest()
-{
-    SweepRequest request;
-    request.warmupCycles = 2'000;
-    request.measureCycles = 150'000;
-    request.points = {GridPoint{"2_MEM", EngineKind::GshareBtb, 1, 8}};
-    return request;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -58,39 +48,53 @@ plugRequest()
 
 TEST(Scheduler, RoundRobinInterleavesConcurrentSweeps)
 {
-    // One worker makes the schedule deterministic. While the plug
-    // point runs, a 4-point job A and a 2-point job B queue up; the
-    // single-token round-robin then strictly alternates their points
-    // (A1 B1 A2 B2 A3 A4), so the short job submitted SECOND still
-    // finishes first — the fairness property the serve daemon needs
-    // so a quick sweep is never stuck behind a long one.
+    // One worker makes the schedule deterministic. A plug point holds
+    // that worker until a 4-point job A and a 2-point job B are both
+    // queued; the single-token round-robin then strictly alternates
+    // their points (A1 B1 A2 B2 A3 A4), so the short job submitted
+    // SECOND still finishes first — a quick sweep is never stuck
+    // behind a long one.
     SweepScheduler scheduler(1);
-    auto plug = scheduler.submit(plugRequest(), "plug");
-    auto a = scheduler.submit(shortRequest("2_MIX", 4), "long");
-    auto b = scheduler.submit(shortRequest("gzip", 2), "short");
+    std::mutex m;
+    std::vector<std::string> order;
+    auto recorder = [&](const std::string &job) {
+        SweepSubmitOptions opts;
+        opts.runner = [&, job](std::size_t i, const GridPoint &) {
+            std::lock_guard<std::mutex> lock(m);
+            order.push_back(job + std::to_string(i + 1));
+            PointOutcome out;
+            out.direct = true;
+            return out;
+        };
+        return opts;
+    };
+
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    SweepSubmitOptions plug_opts;
+    plug_opts.runner = [released](std::size_t, const GridPoint &) {
+        released.wait();
+        PointOutcome out;
+        out.direct = true;
+        return out;
+    };
+    auto plug =
+        scheduler.submit(shortRequest("gzip", 1), "plug", plug_opts);
+    auto a = scheduler.submit(shortRequest("2_MIX", 4), "long",
+                              recorder("A"));
+    auto b = scheduler.submit(shortRequest("gzip", 2), "short",
+                              recorder("B"));
+    release.set_value();
 
     scheduler.wait(plug);
-    scheduler.wait(a);
-    scheduler.wait(b);
-
-    auto sa = scheduler.status(a);
-    auto sb = scheduler.status(b);
-    ASSERT_TRUE(sa && sb);
-    EXPECT_EQ(sa->state, SweepScheduler::JobState::Done);
-    EXPECT_EQ(sb->state, SweepScheduler::JobState::Done);
-    EXPECT_EQ(sa->completedPoints, 4u);
-    EXPECT_EQ(sb->completedPoints, 2u);
-
-    // Plug = seq 1, then A:2,4,6,7 and B:3,5 by strict alternation.
-    EXPECT_EQ(sa->firstDoneSeq, 2u);
-    EXPECT_EQ(sb->firstDoneSeq, 3u);
-    EXPECT_EQ(sb->lastDoneSeq, 5u);
-    EXPECT_EQ(sa->lastDoneSeq, 7u);
-    EXPECT_LT(sb->lastDoneSeq, sa->lastDoneSeq);
+    EXPECT_EQ(scheduler.wait(a).results.size(), 4u);
+    EXPECT_EQ(scheduler.wait(b).results.size(), 2u);
+    EXPECT_EQ(order, (std::vector<std::string>{"A1", "B1", "A2", "B2",
+                                               "A3", "A4"}));
 }
 
 // ---------------------------------------------------------------------
-// Lifecycle: empty, cancelled, failed
+// Lifecycle: empty, failed
 // ---------------------------------------------------------------------
 
 TEST(Scheduler, EmptyRequestCompletesImmediately)
@@ -101,38 +105,6 @@ TEST(Scheduler, EmptyRequestCompletesImmediately)
     SweepReport report = scheduler.wait(id);
     EXPECT_TRUE(report.results.empty());
     EXPECT_EQ(report.timing.gridPoints, 0u);
-    auto s = scheduler.status(id);
-    ASSERT_TRUE(s);
-    EXPECT_EQ(s->state, SweepScheduler::JobState::Done);
-}
-
-TEST(Scheduler, CancelSkipsRemainingPointsAndWaitThrows)
-{
-    // The plug occupies the only worker, so the cancel lands before
-    // any of the job's points start: all of them are skipped.
-    SweepScheduler scheduler(1);
-    auto plug = scheduler.submit(plugRequest(), "plug");
-    auto id = scheduler.submit(shortRequest("2_MIX", 3), "doomed");
-
-    EXPECT_TRUE(scheduler.cancel(id));
-    EXPECT_FALSE(scheduler.cancel(id)) << "already terminal";
-    EXPECT_FALSE(scheduler.cancel(9999)) << "unknown id";
-
-    try {
-        scheduler.wait(id);
-        FAIL() << "wait() on a cancelled sweep did not throw";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("cancelled"),
-                  std::string::npos)
-            << e.what();
-    }
-    auto s = scheduler.status(id);
-    ASSERT_TRUE(s);
-    EXPECT_EQ(s->state, SweepScheduler::JobState::Cancelled);
-    EXPECT_EQ(s->completedPoints, 0u);
-    EXPECT_EQ(s->cancelledPoints, 3u);
-    EXPECT_EQ(scheduler.report(id), nullptr);
-    scheduler.wait(plug);
 }
 
 TEST(Scheduler, FailingPointFailsTheJobAndWaitRethrows)
@@ -152,11 +124,6 @@ TEST(Scheduler, FailingPointFailsTheJobAndWaitRethrows)
                   std::string::npos)
             << e.what();
     }
-    auto s = scheduler.status(id);
-    ASSERT_TRUE(s);
-    EXPECT_EQ(s->state, SweepScheduler::JobState::Failed);
-    EXPECT_FALSE(s->error.empty());
-    EXPECT_EQ(scheduler.report(id), nullptr);
 }
 
 TEST(Scheduler, DuplicateRecordPathsRejectedAtSubmit)
@@ -196,9 +163,7 @@ TEST(Scheduler, DerivedRecordPathCollisionsRejectedAtSubmit)
     ok.points[1].workload = "4_MIX";
     ok.points[1].recordPath = ::testing::TempDir() + "sched_ok_b.trc";
     auto id = scheduler.submit(ok, "distinct");
-    scheduler.wait(id);
-    EXPECT_EQ(scheduler.status(id)->state,
-              SweepScheduler::JobState::Done);
+    EXPECT_EQ(scheduler.wait(id).results.size(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -252,4 +217,32 @@ TEST(Scheduler, ResultsAreBitIdenticalAcrossWorkerCounts)
         EXPECT_EQ(one.results[i].ipc, four.results[i].ipc);
         EXPECT_EQ(one.results[i].statsJson, four.results[i].statsJson);
     }
+}
+
+// ---------------------------------------------------------------------
+// Default pool size
+// ---------------------------------------------------------------------
+
+TEST(Scheduler, DefaultWorkersFollowTheAffinityMask)
+{
+    // Pinned to one CPU (as under `taskset -c 0`), the default pool
+    // must be one worker, not one per CPU in the machine.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = -1;
+    for (int c = 0; c < CPU_SETSIZE && cpu < 0; ++c)
+        if (CPU_ISSET(c, &saved))
+            cpu = c;
+    ASSERT_GE(cpu, 0);
+
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    unsigned pinned = defaultSweepWorkers();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(defaultSweepWorkers(),
+              static_cast<unsigned>(CPU_COUNT(&saved)));
 }

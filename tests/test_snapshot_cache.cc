@@ -122,24 +122,6 @@ TEST(SnapshotCache, OversizeSnapshotIsServedButNotRetained)
     cache.abandon("big");
 }
 
-TEST(SnapshotCache, ShrinkingTheBudgetEvictsImmediately)
-{
-    WarmupSnapshotCache cache(400);
-    insert(cache, "a", std::string(100, 'a'));
-    insert(cache, "b", std::string(100, 'b'));
-    insert(cache, "c", std::string(100, 'c'));
-    EXPECT_EQ(cache.stats().entries, 3u);
-
-    cache.setMaxBytes(150);
-    auto s = cache.stats();
-    EXPECT_EQ(s.entries, 1u);
-    EXPECT_EQ(s.bytes, 100u);
-    EXPECT_EQ(s.evictions, 2u);
-    EXPECT_EQ(s.maxBytes, 150u);
-    // The survivor is the most recently inserted key.
-    EXPECT_TRUE(cache.acquire("c").snapshot);
-}
-
 // ---------------------------------------------------------------------
 // Disk tier
 // ---------------------------------------------------------------------

@@ -355,6 +355,13 @@ TEST(SweepSpec, SchemaErrorsAreActionable)
         },
         "unknown spec key \"frobnicate\"");
     expectSpecError(
+        [] {
+            SweepSpec::fromString(R"({"name": "x",
+                "distributed": {"workers": 2},
+                "workloads": ["2_MIX"], "policies": ["1.8"]})");
+        },
+        "unknown spec key \"distributed\"");
+    expectSpecError(
         [] { SweepSpec::fromString(R"({"name": "x"})"); },
         "grid spec needs");
     expectSpecError(

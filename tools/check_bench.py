@@ -378,9 +378,9 @@ def check_warmup_reuse(reuse, result_count):
         raise CheckFailure("warmupReuse.warmupGroups exceeds gridPoints")
     if reuse["warmupRuns"] > reuse["warmupGroups"]:
         raise CheckFailure("warmupReuse.warmupRuns exceeds warmupGroups")
-    # journaledPoints: points a resumed distributed sweep satisfied
-    # from its journal without simulating anything. Only emitted when
-    # nonzero, so plain records stay byte-identical.
+    # journaledPoints: points a resumed `smtsim --checkpoint-dir` run
+    # satisfied from its journal without simulating anything. Only
+    # emitted when nonzero, so other records stay byte-identical.
     journaled = reuse.get("journaledPoints", 0)
     if not isinstance(journaled, int) or isinstance(journaled, bool) or journaled < 0:
         raise CheckFailure(
