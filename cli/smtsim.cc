@@ -3,8 +3,11 @@
  * smtsim: run JSON experiment specs through the simulator. Each spec
  * names workloads, fetch engines, N.X policies, parameter overrides
  * and measurement windows; smtsim expands the grid, runs it across
- * host threads and writes the BENCH_<name>.json record the bench
- * binaries emit for the same spec.
+ * host threads, checks the spec's "expect" claims and writes the
+ * BENCH_<name>.json record.
+ *
+ * Exit codes: 0 success, 1 usage error, 2 bad spec or input file,
+ * 3 unwritable record, 4 a paper claim failed.
  *
  * Usage: smtsim [options] <spec.json | spec-name> ...
  */
@@ -62,7 +65,9 @@ usage(std::FILE *out)
         "usage: smtsim [options] <spec.json | spec-name> ...\n"
         "\n"
         "Runs JSON experiment specs (see configs/) through the\n"
-        "simulator and writes BENCH_<name>.json records.\n"
+        "simulator and writes BENCH_<name>.json records. A spec's\n"
+        "\"expect\" claims are checked when the run keeps the spec's\n"
+        "warmup, measure and seed; a failing claim exits 4.\n"
         "\n"
         "A bare spec name (no '/' and no '.json') is resolved\n"
         "against $SMTFETCH_CONFIG_DIR or the build-time configs/\n"
@@ -76,7 +81,7 @@ usage(std::FILE *out)
         "                 one per line, for scripting)\n"
         "  --validate     parse and expand specs, then exit\n"
         "  --out-dir DIR  directory for BENCH_*.json records\n"
-        "                 (default: $SMTFETCH_JSON_DIR or .)\n"
+        "                 (default: .)\n"
         "  --no-json      skip BENCH_*.json emission\n"
         "  --quiet        suppress result tables\n"
         "  --warmup N     override the spec's warmup cycles\n"
@@ -211,11 +216,48 @@ printGrid(const SweepSpec &spec,
                      (unsigned long long)spec.seed));
 }
 
+/**
+ * Print one verdict line per claim, failures on stderr. Returns
+ * false when a claim not marked expectedToFail fails.
+ */
+bool
+reportClaims(const std::vector<ClaimVerdict> &verdicts)
+{
+    bool ok = true;
+    for (const ClaimVerdict &v : verdicts) {
+        bool xfail = !v.pass() && !v.expectedToFail.empty();
+        bool fail = !v.pass() && !xfail;
+        std::fflush(stdout);
+        std::fprintf(fail ? stderr : stdout,
+                     "claim %s: %s (%zu of %zu, need %zu)%s%s\n",
+                     v.pass() ? "PASS" : xfail ? "XFAIL" : "FAIL",
+                     v.claim.c_str(), v.holds, v.of, v.required,
+                     xfail ? "; expected to fail: " : "",
+                     xfail ? v.expectedToFail.c_str() : "");
+        ok = ok && !fail;
+    }
+    return ok;
+}
+
 int
 runOne(const Options &opt, const std::string &arg)
 {
     std::string path = resolveSpecPath(arg);
     SweepSpec spec = SweepSpec::fromFile(path);
+    // The claims describe the spec's own windows and seed.
+    bool at_spec_windows =
+        (!opt.warmup || *opt.warmup == spec.warmupCycles) &&
+        (!opt.measure || *opt.measure == spec.measureCycles) &&
+        (!opt.seed || *opt.seed == spec.seed);
+    if (!at_spec_windows && !spec.expect.empty() && !opt.list &&
+        !opt.validate)
+        std::printf("%s: %zu claims not checked: they hold at the "
+                    "spec's warmup %llu, measure %llu and seed %llu, "
+                    "which this run overrides\n",
+                    spec.name.c_str(), spec.expect.size(),
+                    (unsigned long long)spec.warmupCycles,
+                    (unsigned long long)spec.measureCycles,
+                    (unsigned long long)spec.seed);
     if (opt.warmup)
         spec.warmupCycles = *opt.warmup;
     if (opt.measure)
@@ -255,10 +297,12 @@ runOne(const Options &opt, const std::string &arg)
         }
         auto rows = runCharacteristics(spec.instructions);
         if (!opt.quiet) {
-            TextTable t({"benchmark", "class", "BB size",
-                         "stream len", "taken rate", "loads/insts"});
+            TextTable t({"benchmark", "class", "BB size (paper)",
+                         "BB size (model)", "stream len", "taken rate",
+                         "loads/insts"});
             for (const auto &r : rows)
                 t.addRow({r.benchmark, r.ilp ? "ILP" : "MEM",
+                          TextTable::num(r.paperBlockSize),
                           TextTable::num(r.blockSize),
                           TextTable::num(r.streamLength),
                           TextTable::num(r.takenRate, 3),
@@ -373,11 +417,15 @@ runOne(const Options &opt, const std::string &arg)
             std::cout, spec.name + " — commit throughput, IPC",
             results, /*fetch=*/false);
     }
+    std::optional<std::vector<ClaimVerdict>> claims;
+    if (at_spec_windows && !spec.expect.empty())
+        claims = spec.checkClaims(results);
+    bool claims_ok = !claims || reportClaims(*claims);
     if (opt.writeJson &&
         !writeBenchRecord(spec.benchName(), results, {}, opt.outDir,
-                          &report.timing))
+                          &report.timing, claims ? &*claims : nullptr))
         return 3;
-    return 0;
+    return claims_ok ? 0 : 4;
 }
 
 } // namespace

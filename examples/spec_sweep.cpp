@@ -2,8 +2,8 @@
  * @file
  * Experiment-spec example: define a sweep as a JSON document (the
  * same schema the smtsim CLI and configs/ use), expand it, run it on
- * all host threads, and walk the typed results — no bench binary or
- * config file required.
+ * all host threads, and walk the typed results — no CLI or config
+ * file required.
  */
 
 #include <iostream>

@@ -242,7 +242,7 @@ ExperimentRunner::writeJson(
     std::ostream &os, const std::string &bench,
     const std::vector<ExperimentResult> &results,
     const std::vector<std::pair<std::string, double>> &metrics,
-    const SweepTiming *timing)
+    const SweepTiming *timing, const std::vector<ClaimVerdict> *claims)
 {
     JsonWriter jw(os, /*indent_step=*/2);
     jw.beginObject();
@@ -325,6 +325,22 @@ ExperimentRunner::writeJson(
         for (const auto &[name, v] : metrics)
             jw.field(name, v);
         jw.endObject();
+    }
+    if (claims != nullptr) {
+        jw.key("expectations");
+        jw.beginArray();
+        for (const ClaimVerdict &c : *claims) {
+            jw.beginObject();
+            jw.field("claim", c.claim);
+            jw.field("holds", static_cast<std::uint64_t>(c.holds));
+            jw.field("of", static_cast<std::uint64_t>(c.of));
+            jw.field("required", static_cast<std::uint64_t>(c.required));
+            jw.field("pass", c.pass());
+            if (!c.expectedToFail.empty())
+                jw.field("expectedToFail", c.expectedToFail);
+            jw.endObject();
+        }
+        jw.endArray();
     }
     jw.key("results");
     jw.beginArray();

@@ -217,6 +217,21 @@ struct SweepReport
 };
 
 /**
+ * One evaluated paper claim (SweepSpec::checkClaims): an entry of the
+ * BENCH record's `expectations` block.
+ */
+struct ClaimVerdict
+{
+    std::string claim;
+    std::size_t holds = 0;      //!< point pairs the claim holds on
+    std::size_t of = 0;         //!< point pairs compared
+    std::size_t required = 0;   //!< pairs that must hold
+    std::string expectedToFail; //!< non-empty for a known divergence
+
+    bool pass() const { return holds >= required; }
+};
+
+/**
  * Facade over the scheduler/executor pair: runs one SweepRequest to
  * completion across host threads and renders results. Every
  * reuse-enabled run gets a private snapshot cache; snapshots outlive
@@ -244,15 +259,16 @@ class ExperimentRunner
     /**
      * Write a machine-readable record for a bench run: one JSON
      * document with bench metadata, every grid point's metrics and
-     * full stats, and optional ad-hoc named metrics (the BENCH_*.json
-     * format).
+     * full stats, and optional ad-hoc named metrics and claim
+     * verdicts (the BENCH_*.json format).
      */
     static void
     writeJson(std::ostream &os, const std::string &bench,
               const std::vector<ExperimentResult> &results,
               const std::vector<std::pair<std::string, double>>
                   &metrics = {},
-              const SweepTiming *timing = nullptr);
+              const SweepTiming *timing = nullptr,
+              const std::vector<ClaimVerdict> *claims = nullptr);
 };
 
 /**

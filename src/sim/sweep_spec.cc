@@ -416,6 +416,189 @@ parseSweepBlock(const JsonValue &v, const std::string &context)
     return block;
 }
 
+PointSelector
+parseSelector(const JsonValue &v, const std::string &context,
+              const char *side)
+{
+    if (!v.isObject())
+        specFail(context,
+                 csprintf("\"%s\" must be a selector object with any "
+                          "of the keys workload, engine, policy "
+                          "(\"rhs\" may also be a number), found %s",
+                          side, v.kindName()));
+    PointSelector sel;
+    for (const auto &[key, value] : v.asObject()) {
+        if (key == "workload") {
+            sel.workload = stringValue(value, context, "a workload");
+        } else if (key == "engine") {
+            try {
+                sel.engine = engineKindFromString(
+                    stringValue(value, context, "an engine"));
+            } catch (const SpecError &e) {
+                specFail(context, e.what());
+            }
+        } else if (key == "policy") {
+            sel.policy = parsePolicyPoint(value, context);
+        } else {
+            specFail(context,
+                     csprintf("unknown %s selector key \"%s\" (known: "
+                              "workload, engine, policy)",
+                              side, key.c_str()));
+        }
+    }
+    return sel;
+}
+
+Expectation
+parseExpectation(const JsonValue &v, const std::string &context)
+{
+    if (!v.isObject())
+        specFail(context, csprintf("a claim must be an object, found %s",
+                                   v.kindName()));
+    Expectation e;
+    for (const auto &[key, value] : v.asObject()) {
+        if (key == "claim") {
+            e.claim = stringValue(value, context, "\"claim\"");
+        } else if (key == "metric") {
+            const std::string &m =
+                stringValue(value, context, "\"metric\"");
+            if (m != "ipc" && m != "ipfc")
+                specFail(context,
+                         csprintf("unknown metric \"%s\" (known: ipc, "
+                                  "ipfc)",
+                                  m.c_str()));
+            e.ipfc = m == "ipfc";
+        } else if (key == "lhs") {
+            e.lhs = parseSelector(value, context, "lhs");
+        } else if (key == "op") {
+            e.op = stringValue(value, context, "\"op\"");
+            if (e.op != "<" && e.op != "<=" && e.op != ">" &&
+                e.op != ">=")
+                specFail(context,
+                         csprintf("bad op \"%s\" (known: <, <=, >, >=)",
+                                  e.op.c_str()));
+        } else if (key == "rhs") {
+            if (value.isNumber())
+                e.rhsValue = value.asNumber();
+            else
+                e.rhs = parseSelector(value, context, "rhs");
+        } else if (key == "factor") {
+            if (!value.isNumber() || !(value.asNumber() > 0))
+                specFail(context, "\"factor\" must be a positive number");
+            e.factor = value.asNumber();
+        } else if (key == "atLeast") {
+            e.atLeast = uintValue(value, context, "\"atLeast\"");
+        } else if (key == "expectedToFail") {
+            e.expectedToFail =
+                stringValue(value, context, "\"expectedToFail\"");
+            if (e.expectedToFail.empty())
+                specFail(context, "\"expectedToFail\" must say why the "
+                                  "claim fails");
+        } else {
+            specFail(context,
+                     csprintf("unknown claim key \"%s\" (known: claim, "
+                              "metric, lhs, op, rhs, factor, atLeast, "
+                              "expectedToFail)",
+                              key.c_str()));
+        }
+    }
+    for (const char *key : {"claim", "metric", "lhs", "op", "rhs"})
+        if (v.find(key) == nullptr)
+            specFail(context, csprintf("a claim needs \"%s\"", key));
+    return e;
+}
+
+/** Does a grid point (or a result) lie in a selector's set? */
+template <typename Point>
+bool
+selects(const PointSelector &s, const Point &p)
+{
+    return (!s.workload || *s.workload == p.workload) &&
+           (!s.engine || *s.engine == p.engine) &&
+           (!s.policy || (s.policy->first == p.fetchThreads &&
+                          s.policy->second == p.fetchWidth));
+}
+
+template <typename Point>
+std::string
+pointName(const Point &p)
+{
+    std::string name =
+        csprintf("%s/%s/%u.%u", p.workload.c_str(),
+                 engineName(p.engine), p.fetchThreads, p.fetchWidth);
+    std::string ov = p.overrides.describe();
+    return ov.empty() ? name : name + "/" + ov;
+}
+
+/**
+ * A claim's (lhs, rhs) point pairs, lhs in grid order. A numeric rhs
+ * pairs each lhs point with itself. SpecError when a selector
+ * matches nothing or an lhs point lacks exactly one rhs partner.
+ */
+template <typename Point>
+std::vector<std::pair<const Point *, const Point *>>
+claimPairs(const Expectation &e, const std::vector<Point> &points,
+           const std::string &context)
+{
+    auto fixed = [&](auto field) {
+        return (e.lhs.*field).has_value() ||
+               (!e.rhsValue && (e.rhs.*field).has_value());
+    };
+    bool wl = fixed(&PointSelector::workload);
+    bool eng = fixed(&PointSelector::engine);
+    bool pol = fixed(&PointSelector::policy);
+
+    std::vector<std::pair<const Point *, const Point *>> pairs;
+    bool rhs_matched = false;
+    for (const Point &l : points) {
+        if (!selects(e.lhs, l))
+            continue;
+        const Point *partner = e.rhsValue ? &l : nullptr;
+        std::size_t partners = 0;
+        for (const Point &r : points) {
+            if (e.rhsValue || !selects(e.rhs, r))
+                continue;
+            rhs_matched = true;
+            if ((wl || r.workload == l.workload) &&
+                (eng || r.engine == l.engine) &&
+                (pol || (r.fetchThreads == l.fetchThreads &&
+                         r.fetchWidth == l.fetchWidth)) &&
+                r.policy == l.policy && r.overrides == l.overrides) {
+                partner = &r;
+                ++partners;
+            }
+        }
+        if (!e.rhsValue && rhs_matched && partners != 1)
+            specFail(context,
+                     csprintf("lhs point %s has %zu rhs partners, "
+                              "expected exactly one (a partner agrees "
+                              "on every coordinate neither selector "
+                              "fixes)",
+                              pointName(l).c_str(), partners));
+        pairs.emplace_back(&l, partner);
+    }
+    if (pairs.empty())
+        specFail(context, "the lhs selector matches no grid point");
+    if (!e.rhsValue && !rhs_matched)
+        specFail(context, "the rhs selector matches no grid point");
+    if (e.atLeast && *e.atLeast > pairs.size())
+        specFail(context,
+                 csprintf("atLeast %zu exceeds the %zu point pairs the "
+                          "claim compares",
+                          *e.atLeast, pairs.size()));
+    return pairs;
+}
+
+/** Error context naming one claim of a spec. */
+std::string
+claimContext(const std::string &context, std::size_t i,
+             const std::string &claim)
+{
+    return csprintf("%s: expect[%zu]%s", context.c_str(), i,
+                    claim.empty() ? ""
+                                  : (" (\"" + claim + "\")").c_str());
+}
+
 } // namespace
 
 EngineKind
@@ -530,6 +713,34 @@ SweepSpec::makeRequest() const
     return request;
 }
 
+std::vector<ClaimVerdict>
+SweepSpec::checkClaims(const std::vector<ExperimentResult> &results) const
+{
+    std::vector<ClaimVerdict> verdicts;
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        const Expectation &e = expect[i];
+        auto pairs =
+            claimPairs(e, results, claimContext(name, i, e.claim));
+        ClaimVerdict v{e.claim, 0, pairs.size(),
+                       e.atLeast.value_or(pairs.size()),
+                       e.expectedToFail};
+        auto metric = [&](const ExperimentResult *r) {
+            return e.ipfc ? r->ipfc : r->ipc;
+        };
+        for (const auto &[l, r] : pairs) {
+            double lhs = metric(l);
+            double rhs = e.factor * (e.rhsValue ? *e.rhsValue : metric(r));
+            bool holds = e.op == "<"    ? lhs < rhs
+                         : e.op == "<=" ? lhs <= rhs
+                         : e.op == ">"  ? lhs > rhs
+                                        : lhs >= rhs;
+            v.holds += holds ? 1 : 0;
+        }
+        verdicts.push_back(std::move(v));
+    }
+    return verdicts;
+}
+
 SweepSpec
 SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
 {
@@ -540,6 +751,7 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
 
     SweepSpec spec;
     const JsonValue *sweeps = nullptr;
+    const JsonValue *expect = nullptr;
     JsonValue::Object inline_sweep;
 
     for (const auto &[key, value] : doc.asObject()) {
@@ -593,6 +805,8 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
                 uintValue(value, context, "instructions");
         } else if (key == "sweeps") {
             sweeps = &value;
+        } else if (key == "expect") {
+            expect = &value;
         } else if (key == "workloads" || key == "engines" ||
                    key == "policies" || key == "selection" ||
                    key == "overrides") {
@@ -605,7 +819,7 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
                               "checkpointAfterWarmup, checkpointDir, "
                               "cycleSkip, instructions, "
                               "sweeps, workloads, engines, policies, "
-                              "selection, overrides)",
+                              "selection, overrides, expect)",
                               key.c_str()));
         }
     }
@@ -642,6 +856,29 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
         spec.instructions == 0)
         specFail(context, "instructions must be positive");
 
+    if (expect != nullptr) {
+        if (!expect->isArray())
+            specFail(context, "\"expect\" must be an array of claim "
+                              "objects");
+        if (spec.type != SpecType::Grid)
+            specFail(context, "a characteristics spec takes no "
+                              "\"expect\" claims");
+        // Pair every claim against the expanded grid now, so
+        // --validate rejects a claim that could never be evaluated.
+        std::vector<GridPoint> points = spec.expand();
+        for (std::size_t i = 0; i < expect->size(); ++i) {
+            const JsonValue &c = expect->asArray()[i];
+            const JsonValue *text =
+                c.isObject() ? c.find("claim") : nullptr;
+            std::string ctx = claimContext(
+                context, i,
+                text != nullptr && text->isString() ? text->asString()
+                                                    : "");
+            Expectation e = parseExpectation(c, ctx);
+            claimPairs(e, points, ctx);
+            spec.expect.push_back(std::move(e));
+        }
+    }
     return spec;
 }
 
@@ -721,10 +958,7 @@ characteristicsMetrics(const std::vector<BenchmarkCharacteristics> &rows)
 std::string
 benchRecordDir(const std::string &dir_override)
 {
-    if (!dir_override.empty())
-        return dir_override;
-    const char *env = std::getenv("SMTFETCH_JSON_DIR");
-    return env != nullptr && env[0] != '\0' ? env : ".";
+    return dir_override.empty() ? "." : dir_override;
 }
 
 void
@@ -756,12 +990,8 @@ writeBenchRecord(
     const std::vector<ExperimentResult> &results,
     const std::vector<std::pair<std::string, double>> &metrics,
     const std::string &dir_override,
-    const SweepTiming *timing)
+    const SweepTiming *timing, const std::vector<ClaimVerdict> *claims)
 {
-    const char *off = std::getenv("SMTFETCH_NO_JSON");
-    if (off != nullptr && off[0] != '\0' && off[0] != '0')
-        return true;
-
     std::string path =
         benchRecordDir(dir_override) + "/BENCH_" + bench + ".json";
     std::ofstream os(path);
@@ -770,7 +1000,8 @@ writeBenchRecord(
                      path.c_str());
         return false;
     }
-    ExperimentRunner::writeJson(os, bench, results, metrics, timing);
+    ExperimentRunner::writeJson(os, bench, results, metrics, timing,
+                                claims);
     std::printf("wrote %s\n", path.c_str());
     return true;
 }

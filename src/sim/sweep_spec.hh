@@ -3,13 +3,16 @@
  * Declarative experiment specs: a JSON document naming workloads,
  * fetch engines, N.X policies, parameter overrides and measurement
  * windows expands into an ExperimentRunner grid. One spec file per
- * paper figure/table/ablation lives under configs/; the smtsim CLI
- * and the bench binaries both execute through this layer.
+ * paper figure/table/ablation lives under configs/, and the smtsim
+ * CLI executes them through this layer. A spec's "expect" array
+ * states the paper's shape claims about its grid; checkClaims()
+ * evaluates them against a run.
  */
 
 #ifndef SMTFETCH_SIM_SWEEP_SPEC_HH
 #define SMTFETCH_SIM_SWEEP_SPEC_HH
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,8 +47,7 @@ void validateWorkloadName(const std::string &name);
 
 /**
  * Directory BENCH_*.json records land in: `dir_override` when
- * non-empty, else the SMTFETCH_JSON_DIR environment variable, else
- * the working directory.
+ * non-empty, else the working directory.
  */
 std::string benchRecordDir(const std::string &dir_override = "");
 
@@ -78,6 +80,37 @@ struct SweepBlock
 
     std::vector<PolicyKind> selections = {PolicyKind::ICount};
     std::vector<RunOverrides> overrides = {RunOverrides{}};
+};
+
+/** Grid points named by the coordinates a selector fixes. */
+struct PointSelector
+{
+    std::optional<std::string> workload;
+    std::optional<EngineKind> engine;
+
+    /** (fetchThreads, fetchWidth). */
+    std::optional<std::pair<unsigned, unsigned>> policy;
+};
+
+/**
+ * One paper claim from a spec's "expect" array: for every point the
+ * lhs selector matches, metric(lhs) op factor * metric(rhs). The rhs
+ * is either a bare number or the point the rhs selector matches that
+ * agrees with the lhs point on every coordinate neither selector
+ * fixes (workload, engine, N.X policy, selection policy, overrides).
+ * The claim holds when at least `atLeast` such pairs do.
+ */
+struct Expectation
+{
+    std::string claim;
+    bool ipfc = false; //!< compare IPFC rather than IPC
+    PointSelector lhs;
+    std::string op;    //!< "<", "<=", ">" or ">="
+    PointSelector rhs;
+    std::optional<double> rhsValue; //!< bare-number rhs
+    double factor = 1.0;
+    std::optional<std::size_t> atLeast; //!< default: every pair
+    std::string expectedToFail; //!< why a known divergence fails
 };
 
 /** What a spec asks the simulator to produce. */
@@ -125,6 +158,13 @@ struct SweepSpec
 
     std::vector<SweepBlock> sweeps;
 
+    /**
+     * Shape claims about the grid. They are statements about the
+     * spec's own warmupCycles, measureCycles and seed: smtsim checks
+     * them only at those windows.
+     */
+    std::vector<Expectation> expect;
+
     std::string
     benchName() const
     {
@@ -137,9 +177,17 @@ struct SweepSpec
     /**
      * The full SweepRequest this spec describes: the expanded grid
      * plus windows, seed, cycle-skip and warmup-reuse settings —
-     * exactly what `smtsim <spec>` and the bench wrappers run.
+     * exactly what `smtsim <spec>` runs.
      */
     SweepRequest makeRequest() const;
+
+    /**
+     * Evaluate every "expect" clause against the results of this
+     * spec's grid, one verdict per clause in spec order. Throws
+     * SpecError when the results cannot pair a clause's points.
+     */
+    std::vector<ClaimVerdict>
+    checkClaims(const std::vector<ExperimentResult> &results) const;
 
     /** @name Construction (SpecError on any schema problem). */
     /// @{
@@ -180,17 +228,17 @@ std::vector<std::pair<std::string, double>>
 characteristicsMetrics(const std::vector<BenchmarkCharacteristics> &rows);
 
 /**
- * Write a BENCH_<bench>.json record. The directory defaults to the
- * working directory, overridable by dir_override or the
- * SMTFETCH_JSON_DIR environment variable; SMTFETCH_NO_JSON=1 skips
- * emission. Returns false when the file cannot be written.
+ * Write a BENCH_<bench>.json record into benchRecordDir(dir_override).
+ * `claims`, when given, becomes the record's `expectations` block.
+ * Returns false when the file cannot be written.
  */
 bool writeBenchRecord(
     const std::string &bench,
     const std::vector<ExperimentResult> &results,
     const std::vector<std::pair<std::string, double>> &metrics = {},
     const std::string &dir_override = "",
-    const SweepTiming *timing = nullptr);
+    const SweepTiming *timing = nullptr,
+    const std::vector<ClaimVerdict> *claims = nullptr);
 
 } // namespace smt
 

@@ -28,12 +28,6 @@ TextTable::num(double v, int precision)
     return csprintf("%.*f", precision, v);
 }
 
-std::string
-TextTable::pct(double fraction, int precision)
-{
-    return csprintf("%+.*f%%", precision, fraction * 100.0);
-}
-
 void
 TextTable::print(std::ostream &os, const std::string &title) const
 {

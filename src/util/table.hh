@@ -29,9 +29,6 @@ class TextTable
     /** Convenience: format a double with the given precision. */
     static std::string num(double v, int precision = 2);
 
-    /** Convenience: format a percentage ("+12.3%"). */
-    static std::string pct(double fraction, int precision = 1);
-
     /** Render the table to a stream. */
     void print(std::ostream &os, const std::string &title = "") const;
 

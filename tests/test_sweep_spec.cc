@@ -2,8 +2,9 @@
  * @file
  * SweepSpec tests: the committed configs/ specs parse and expand to
  * the grids the hand-coded bench binaries used to run, spec-driven
- * execution is bit-identical to direct ExperimentRunner calls, and
- * schema errors carry actionable messages.
+ * execution is bit-identical to direct ExperimentRunner calls, schema
+ * errors carry actionable messages, and "expect" claims pair and
+ * evaluate grid points as documented.
  */
 
 #include <string>
@@ -81,8 +82,9 @@ TEST(SweepSpec, AllCommittedConfigsParseAndExpand)
     for (const char *name : names) {
         SweepSpec spec = SweepSpec::fromFile(configPath(name));
         EXPECT_EQ(spec.name, name);
-        if (spec.type == SpecType::Grid)
+        if (spec.type == SpecType::Grid) {
             EXPECT_GT(spec.expand().size(), 0u) << name;
+        }
     }
 }
 
@@ -471,6 +473,220 @@ TEST(SweepSpec, UnwritableOutputDirFailsFastWithThePath)
         [] { ensureWritableDir("/nonexistent/json-out"); },
         "\"/nonexistent/json-out\" is not writable");
     EXPECT_EQ(benchRecordDir("somewhere"), "somewhere");
+    EXPECT_EQ(benchRecordDir(), ".");
+}
+
+namespace
+{
+
+/** A 2-engine x 2-policy grid on 2_MIX with one claim appended. */
+std::string
+specWithClaim(const std::string &clause)
+{
+    return R"({"name": "x", "workloads": ["2_MIX"],
+        "engines": ["gshare+BTB", "stream"], "policies": ["1.8", "2.8"],
+        "expect": [)" +
+           clause + "]}";
+}
+
+void
+expectClaimError(const std::string &clause, const std::string &fragment)
+{
+    expectSpecError([&] { SweepSpec::fromString(specWithClaim(clause)); },
+                    fragment);
+}
+
+ExperimentResult
+result(const GridPoint &p, double ipc, double ipfc)
+{
+    ExperimentResult r;
+    r.workload = p.workload;
+    r.engine = p.engine;
+    r.fetchThreads = p.fetchThreads;
+    r.fetchWidth = p.fetchWidth;
+    r.policy = p.policy;
+    r.overrides = p.overrides;
+    r.ipc = ipc;
+    r.ipfc = ipfc;
+    return r;
+}
+
+} // namespace
+
+TEST(SweepSpec, ClaimErrorsNameTheClause)
+{
+    // A well-formed clause parses; every error names the clause.
+    EXPECT_EQ(SweepSpec::fromString(specWithClaim(
+                  R"({"claim": "c", "metric": "ipc",
+                      "lhs": {"policy": "2.8"}, "op": ">",
+                      "rhs": {"policy": "1.8"}})"))
+                  .expect.size(),
+              1u);
+    expectClaimError(R"({"claim": "c", "metric": "ipc", "lhs": {},
+                         "op": ">", "rhs": 1, "tolerance": 0.1})",
+                     "expect[0] (\"c\"): unknown claim key "
+                     "\"tolerance\"");
+    expectClaimError(R"({"claim": "c", "metric": "mips", "lhs": {},
+                         "op": ">", "rhs": 1})",
+                     "unknown metric \"mips\"");
+    expectClaimError(R"({"claim": "c", "metric": "ipc", "lhs": {},
+                         "op": "==", "rhs": 1})",
+                     "bad op \"==\"");
+    expectClaimError(R"({"claim": "c", "metric": "ipc",
+                         "lhs": {"engine": "tage2"}, "op": ">",
+                         "rhs": 1})",
+                     "expect[0] (\"c\"): unknown fetch engine "
+                     "\"tage2\"");
+    expectClaimError(R"({"claim": "c", "metric": "ipc", "lhs": {},
+                         "op": ">", "rhs": {"policy": "eight"}})",
+                     "bad policy \"eight\"");
+    expectClaimError(R"({"claim": "c", "metric": "ipc",
+                         "lhs": {"threads": 2}, "op": ">", "rhs": 1})",
+                     "unknown lhs selector key \"threads\"");
+    expectClaimError(R"({"claim": "c", "metric": "ipc", "lhs": {},
+                         "rhs": 1})",
+                     "a claim needs \"op\"");
+    expectClaimError(R"({"claim": "c", "metric": "ipc",
+                         "lhs": {"policy": "1.16"}, "op": ">",
+                         "rhs": 1})",
+                     "the lhs selector matches no grid point");
+    expectClaimError(R"({"claim": "c", "metric": "ipc",
+                         "lhs": {"policy": "2.8"}, "op": ">",
+                         "rhs": {"workload": "4_MIX"}})",
+                     "the rhs selector matches no grid point");
+    // lhs fixes the policy, rhs the engine: only the workload must
+    // agree, so each 2.8 point sees both stream points.
+    expectClaimError(R"({"claim": "c", "metric": "ipc",
+                         "lhs": {"policy": "2.8"}, "op": ">",
+                         "rhs": {"engine": "stream"}})",
+                     "has 2 rhs partners");
+    expectClaimError(R"({"claim": "c", "metric": "ipc",
+                         "lhs": {"policy": "2.8"}, "op": ">",
+                         "rhs": {"policy": "1.8"}, "atLeast": 3})",
+                     "atLeast 3 exceeds the 2 point pairs");
+    // Engine and policy differ across the two blocks, so stream's
+    // 1.8 point has no gshare+BTB point at 1.8 to pair with.
+    expectSpecError(
+        [] {
+            SweepSpec::fromString(R"({"name": "x", "sweeps": [
+                {"workloads": ["2_MIX"], "engines": ["stream"],
+                 "policies": ["1.8"]},
+                {"workloads": ["2_MIX"], "engines": ["gshare+BTB"],
+                 "policies": ["2.8"]}],
+                "expect": [{"claim": "c", "metric": "ipc",
+                    "lhs": {"engine": "stream"}, "op": ">",
+                    "rhs": {"engine": "gshare+BTB"}}]})");
+        },
+        "lhs point 2_MIX/stream/1.8 has 0 rhs partners");
+    expectSpecError(
+        [] {
+            SweepSpec::fromString(R"({"name": "x",
+                "type": "characteristics", "expect": []})");
+        },
+        "takes no \"expect\" claims");
+}
+
+TEST(SweepSpec, ClaimsEvaluateOnHandBuiltResults)
+{
+    SweepSpec spec = SweepSpec::fromString(R"({"name": "claims",
+        "workloads": ["2_ILP", "4_ILP"],
+        "engines": ["gshare+BTB", "stream"],
+        "policies": ["1.8", "2.8"],
+        "expect": [
+          {"claim": "2.8 beats 1.8", "metric": "ipc",
+           "lhs": {"policy": "2.8"}, "op": ">", "rhs": {"policy": "1.8"}},
+          {"claim": "2.8 beats 1.8 mostly", "metric": "ipc",
+           "lhs": {"policy": "2.8"}, "op": ">", "rhs": {"policy": "1.8"},
+           "atLeast": 3},
+          {"claim": "stream doubles gshare+BTB at 1.8", "metric": "ipc",
+           "lhs": {"engine": "stream", "policy": "1.8"}, "op": ">=",
+           "rhs": {"engine": "gshare+BTB", "policy": "1.8"},
+           "factor": 1.9, "atLeast": 1},
+          {"claim": "1.8 IPFC below 6", "metric": "ipfc",
+           "lhs": {"policy": "1.8"}, "op": "<", "rhs": 6},
+          {"claim": "2_ILP beats 4_ILP", "metric": "ipc",
+           "lhs": {"workload": "2_ILP"}, "op": ">",
+           "rhs": {"workload": "4_ILP"},
+           "expectedToFail": "more threads commit more"}
+        ]})");
+    ASSERT_EQ(spec.expect.size(), 5u);
+
+    // IPC per (workload, engine) at 1.8 and 2.8; IPFC is twice IPC.
+    // Only 4_ILP/stream loses at 2.8, so any pairing across workloads
+    // or engines would change the counts below.
+    auto ipcOf = [](const GridPoint &p) {
+        double base = (p.workload == "2_ILP" ? 1.0 : 3.0) +
+                      (p.engine == EngineKind::Stream ? 1.0 : 0.0);
+        bool wide = p.fetchThreads == 2;
+        if (p.workload == "4_ILP" && p.engine == EngineKind::Stream)
+            return wide ? 3.9 : 4.0;
+        return wide ? base + 0.5 : base;
+    };
+    std::vector<ExperimentResult> results;
+    for (const GridPoint &p : spec.expand())
+        results.push_back(result(p, ipcOf(p), 2 * ipcOf(p)));
+
+    auto verdicts = spec.checkClaims(results);
+    ASSERT_EQ(verdicts.size(), 5u);
+
+    // Pairs agree on workload and engine: 3 of 4 hold; by default
+    // every pair must hold.
+    EXPECT_EQ(verdicts[0].claim, "2.8 beats 1.8");
+    EXPECT_EQ(verdicts[0].holds, 3u);
+    EXPECT_EQ(verdicts[0].of, 4u);
+    EXPECT_EQ(verdicts[0].required, 4u);
+    EXPECT_FALSE(verdicts[0].pass());
+    EXPECT_TRUE(verdicts[0].expectedToFail.empty());
+
+    EXPECT_EQ(verdicts[1].holds, 3u);
+    EXPECT_EQ(verdicts[1].required, 3u);
+    EXPECT_TRUE(verdicts[1].pass());
+
+    // factor scales the rhs: 2.0 >= 1.9 * 1.0 holds, 4.0 >= 1.9 * 3.0
+    // does not.
+    EXPECT_EQ(verdicts[2].holds, 1u);
+    EXPECT_EQ(verdicts[2].of, 2u);
+    EXPECT_TRUE(verdicts[2].pass());
+
+    // Numeric rhs on IPFC: 2, 4 hold; 6, 8 do not.
+    EXPECT_EQ(verdicts[3].holds, 2u);
+    EXPECT_EQ(verdicts[3].of, 4u);
+    EXPECT_FALSE(verdicts[3].pass());
+
+    // lhs fixes the workload: pairs agree on engine and policy.
+    EXPECT_EQ(verdicts[4].holds, 0u);
+    EXPECT_EQ(verdicts[4].of, 4u);
+    EXPECT_FALSE(verdicts[4].pass());
+    EXPECT_EQ(verdicts[4].expectedToFail, "more threads commit more");
+}
+
+TEST(SweepSpec, ClaimPairsAgreeOnOverrides)
+{
+    SweepSpec spec = SweepSpec::fromString(R"({"name": "ftq",
+        "workloads": ["2_MIX"], "engines": ["stream"],
+        "policies": ["1.8", "2.8"],
+        "overrides": {"ftqEntries": [1, 4]},
+        "expect": [{"claim": "2.8 beats 1.8", "metric": "ipc",
+                    "lhs": {"policy": "2.8"}, "op": ">",
+                    "rhs": {"policy": "1.8"}}]})");
+    // ftq=1 points sit well below ftq=4 ones, so 2.8 beats 1.8 only
+    // against the partner with the same FTQ depth.
+    std::vector<ExperimentResult> results;
+    for (const GridPoint &p : spec.expand()) {
+        double ipc = (*p.overrides.ftqEntries == 1 ? 1.0 : 3.0) +
+                     (p.fetchThreads == 2 ? 0.5 : 0.0);
+        results.push_back(result(p, ipc, ipc));
+    }
+    auto verdicts = spec.checkClaims(results);
+    ASSERT_EQ(verdicts.size(), 1u);
+    EXPECT_EQ(verdicts[0].holds, 2u);
+    EXPECT_EQ(verdicts[0].of, 2u);
+    EXPECT_TRUE(verdicts[0].pass());
+
+    // Results missing a partner cannot be evaluated.
+    results.erase(results.begin());
+    expectSpecError([&] { spec.checkClaims(results); },
+                    "rhs partners");
 }
 
 TEST(SweepSpec, CharacteristicsSpecRuns)

@@ -316,11 +316,9 @@ TEST(TextTable, RendersAlignedRows)
     EXPECT_NE(out.find("333"), std::string::npos);
 }
 
-TEST(TextTable, NumAndPctFormat)
+TEST(TextTable, NumFormat)
 {
     EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
-    EXPECT_EQ(TextTable::pct(0.123, 1), "+12.3%");
-    EXPECT_EQ(TextTable::pct(-0.05, 1), "-5.0%");
 }
 
 } // namespace

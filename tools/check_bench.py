@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Validate BENCH_*.json records emitted by smtsim / the bench binaries.
+"""Validate BENCH_*.json records emitted by smtsim.
 
 Checks the smtfetch-bench-v1 schema, rejects NaN/zero metrics and
-empty stats, validates the optional `warmupReuse` and `throughput`
-blocks (require them with --require-warmup-reuse /
---require-throughput), checks each result's per-thread IPC and
-shared-cache interference counters against its totals (every access
-and miss must be attributed to exactly one thread), and (with
+empty stats, validates the optional `warmupReuse`, `throughput` and
+`expectations` blocks (require the first two with
+--require-warmup-reuse / --require-throughput), checks each result's
+per-thread IPC and shared-cache interference counters against its
+totals (every access and miss must be attributed to exactly one
+thread), and (with
 --spec) cross-checks that every grid point the experiment spec
 expands to is present in the record, so a silently dropped series
 fails CI.
@@ -306,6 +307,41 @@ def check_throughput(tp, results, require_skip=False):
             )
 
 
+EXPECTATION_COUNTS = ("holds", "of", "required")
+
+
+def check_expectations(expectations):
+    """Validate the paper-claim verdicts a spec-window smtsim run emits."""
+    if not isinstance(expectations, list):
+        raise CheckFailure("'expectations' must be an array")
+    for i, entry in enumerate(expectations):
+        if not isinstance(entry, dict):
+            raise CheckFailure(f"expectations[{i}] must be an object")
+        claim = entry.get("claim")
+        if not isinstance(claim, str) or not claim:
+            raise CheckFailure(f"expectations[{i}].claim must be a non-empty string")
+        for key in EXPECTATION_COUNTS:
+            value = entry.get(key)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise CheckFailure(
+                    f"expectations[{i}].{key} must be a non-negative "
+                    f"integer, got {value!r} ({claim!r})"
+                )
+        if not isinstance(entry.get("pass"), bool):
+            raise CheckFailure(f"expectations[{i}].pass must be a boolean ({claim!r})")
+        holds, of, required = (entry[k] for k in EXPECTATION_COUNTS)
+        if holds > of or required > of:
+            raise CheckFailure(
+                f"expectations[{i}] ({claim!r}): holds {holds} and "
+                f"required {required} must not exceed of {of}"
+            )
+        if entry["pass"] != (holds >= required):
+            raise CheckFailure(
+                f"expectations[{i}] ({claim!r}): pass is {entry['pass']} "
+                f"but {holds} of {of} hold with {required} required"
+            )
+
+
 WARMUP_REUSE_COUNTS = (
     "gridPoints",
     "warmupGroups",
@@ -539,6 +575,9 @@ def check_file(path, args):
             doc["throughput"], results, require_skip=args.require_throughput
         )
 
+    if "expectations" in doc:
+        check_expectations(doc["expectations"])
+
     for i, result in enumerate(results):
         check_result(i, result)
         check_per_thread(i, result)
@@ -551,7 +590,9 @@ def check_file(path, args):
     if args.spec:
         total = check_against_spec(doc, args.spec)
         expected = f", matches {args.spec} ({total} grid points)"
-    return f"{len(results)} results, {len(metrics)} metrics{expected}"
+    claims = doc.get("expectations")
+    claims = f", {len(claims)} claim verdicts" if claims is not None else ""
+    return f"{len(results)} results, {len(metrics)} metrics{claims}{expected}"
 
 
 def main():
