@@ -1,7 +1,5 @@
 #include "sim/executor.hh"
 
-#include <chrono>
-
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/snapshot_cache.hh"
@@ -12,15 +10,6 @@ namespace smt
 
 namespace
 {
-
-using SteadyClock = std::chrono::steady_clock;
-
-double
-secondsSince(SteadyClock::time_point start)
-{
-    return std::chrono::duration<double>(SteadyClock::now() - start)
-        .count();
-}
 
 ExperimentResult
 resultFrom(const GridPoint &point, const ExecutorParams &params,
@@ -88,9 +77,7 @@ PointExecutor::runDirect(const GridPoint &point) const
         if (!point.saveCheckpointPath.empty())
             sim.saveCheckpoint(point.saveCheckpointPath);
     }
-    auto measure_start = SteadyClock::now();
     sim.runMeasure();
-    out.measureSeconds = secondsSince(measure_start);
     out.result = resultFrom(point, params, sim);
     out.direct = true;
     return out;
@@ -117,9 +104,7 @@ PointExecutor::execute(const GridPoint &point) const
             return runDirect(point);
         }
         PointOutcome out;
-        auto measure_start = SteadyClock::now();
         sim.runMeasure();
-        out.measureSeconds = secondsSince(measure_start);
         out.result = resultFrom(point, params, sim);
         out.restored = true;
         out.diskHit = acquired.diskHit;
@@ -132,17 +117,13 @@ PointExecutor::execute(const GridPoint &point) const
     PointOutcome out;
     Simulator sim(configFor(point));
     try {
-        auto warmup_start = SteadyClock::now();
         sim.runWarmup();
-        out.warmupSeconds = secondsSince(warmup_start);
         cache->fulfil(key, sim.saveCheckpointToString(), snapshotDir);
     } catch (...) {
         cache->abandon(key);
         throw;
     }
-    auto measure_start = SteadyClock::now();
     sim.runMeasure();
-    out.measureSeconds = secondsSince(measure_start);
     out.result = resultFrom(point, params, sim);
     out.ranWarmup = true;
     return out;

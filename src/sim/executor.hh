@@ -3,9 +3,10 @@
  * The executor half of the ExperimentRunner split: PointExecutor runs
  * exactly one grid point — building its SimConfig, warming up (or
  * restoring a shared warmup snapshot from a WarmupSnapshotCache) and
- * measuring — and reports what it did in a PointOutcome. It holds no
- * queueing or grid state; SweepScheduler (sim/scheduler.hh) owns
- * that.
+ * measuring — and reports the result and which path served it in a
+ * PointOutcome. It does not time itself (host speed is perfbench/'s
+ * to measure) and holds no queueing or grid state; SweepScheduler
+ * (sim/scheduler.hh) owns that.
  */
 
 #ifndef SMTFETCH_SIM_EXECUTOR_HH
@@ -33,9 +34,6 @@ struct ExecutorParams
 struct PointOutcome
 {
     ExperimentResult result;
-
-    double warmupSeconds = 0; //!< wall clock when ranWarmup
-    double measureSeconds = 0;
 
     /** Exactly one of the three is set. */
     bool ranWarmup = false; //!< led a warmup (snapshot published)

@@ -248,47 +248,9 @@ ExperimentRunner::writeJson(
     jw.beginObject();
     jw.field("schema", "smtfetch-bench-v1");
     jw.field("bench", bench);
-    if (timing != nullptr) {
-        // Measured simulation throughput of this sweep (wall clock is
-        // host-dependent by design; tools/check_bench.py validates
-        // shape and finiteness, tools/compare_throughput.py reports
-        // run-over-run deltas).
-        double mcycles =
-            static_cast<double>(timing->simulatedCycles) / 1e6;
-        double minsts =
-            static_cast<double>(timing->committedInsts) / 1e6;
-        jw.key("throughput");
-        jw.beginObject();
-        jw.field("wallSeconds", timing->sweepSeconds);
-        jw.field("measureSeconds", timing->measureSeconds);
-        jw.field("simulatedCycles", timing->simulatedCycles);
-        jw.field("committedInsts", timing->committedInsts);
-        jw.field("mcyclesPerSecond",
-                 timing->measureSeconds > 0.0
-                     ? mcycles / timing->measureSeconds
-                     : 0.0);
-        jw.field("mips", timing->measureSeconds > 0.0
-                             ? minsts / timing->measureSeconds
-                             : 0.0);
-        jw.field("cyclesSkipped", timing->cyclesSkipped);
-        jw.field("sleepEvents", timing->sleepEvents);
-        jw.field("maxSkipSpan", timing->maxSkipSpan);
-        jw.endObject();
-    }
     if (timing != nullptr && timing->reuseEnabled) {
-        // Measured end-to-end accounting of the warmup-sharing fast
-        // path. The baseline estimate prices every restored point at
-        // this sweep's mean measured warmup cost; when every warmup
-        // came from a persisted cache the estimate is conservative
-        // (no warmup was measured, so the speedup reports 1).
-        double avg_warmup =
-            timing->warmupRuns > 0
-                ? timing->warmupSeconds /
-                      static_cast<double>(timing->warmupRuns)
-                : 0.0;
-        double baseline =
-            timing->sweepSeconds +
-            avg_warmup * static_cast<double>(timing->restoredRuns);
+        // How the warmup-sharing path served the grid: counts only,
+        // so the record stays a pure function of the request.
         jw.key("warmupReuse");
         jw.beginObject();
         jw.field("gridPoints",
@@ -310,13 +272,6 @@ ExperimentRunner::writeJson(
         jw.field("cacheHits", timing->cacheHits);
         jw.field("cacheDiskHits", timing->cacheDiskHits);
         jw.field("cacheEvictions", timing->cacheEvictions);
-        jw.field("warmupSeconds", timing->warmupSeconds);
-        jw.field("sweepSeconds", timing->sweepSeconds);
-        jw.field("estimatedBaselineSeconds", baseline);
-        jw.field("estimatedSpeedup",
-                 timing->sweepSeconds > 0.0
-                     ? baseline / timing->sweepSeconds
-                     : 1.0);
         jw.endObject();
     }
     if (!metrics.empty()) {

@@ -2,8 +2,9 @@
  * @file
  * The sweep request/report API: a SweepRequest names the grid points
  * plus the measurement windows and warmup-sharing policy, a
- * SweepReport carries every point's results and the sweep's measured
- * accounting. ExperimentRunner is a thin facade that feeds a request
+ * SweepReport carries every point's results and how the sweep served
+ * them (counts only: host speed is measured by perfbench/, not here).
+ * ExperimentRunner is a thin facade that feeds a request
  * through the scheduler/executor pair (sim/scheduler.hh,
  * sim/executor.hh) and renders paper-figure tables and BENCH_*.json
  * records.
@@ -160,7 +161,7 @@ struct SweepRequest
     }
 };
 
-/** End-to-end accounting for a sweep (the bench-record blocks). */
+/** How a sweep served its points (the `warmupReuse` record block). */
 struct SweepTiming
 {
     std::size_t gridPoints = 0;
@@ -175,8 +176,6 @@ struct SweepTiming
      *  anything (counted in gridPoints but NOT inside
      *  warmup/restored/direct). */
     std::size_t journaledPoints = 0;
-    double warmupSeconds = 0;      //!< wall clock inside warmups
-    double sweepSeconds = 0;       //!< wall clock of the sweep
 
     /** Warmup sharing was active (the `warmupReuse` JSON block
      *  is only meaningful — and only emitted — when true). */
@@ -192,24 +191,10 @@ struct SweepTiming
     std::uint64_t cacheDiskHits = 0;  //!< disk-tier restores
     std::uint64_t cacheEvictions = 0; //!< LRU evictions over the run
     /// @}
-
-    /** @name Simulation-throughput accounting (the `throughput`
-     *  JSON block): wall clock spent inside the measurement
-     *  windows and the work simulated in them. */
-    /// @{
-    double measureSeconds = 0;        //!< wall clock in measure
-    std::uint64_t simulatedCycles = 0; //!< measured-window cycles
-    std::uint64_t committedInsts = 0;  //!< insts committed in them
-
-    /** Event-driven cycle skipping across the measured windows
-     *  (all zero with skipping disabled). */
-    std::uint64_t cyclesSkipped = 0;   //!< fast-forwarded cycles
-    std::uint64_t sleepEvents = 0;     //!< quiescent spans jumped
-    std::uint64_t maxSkipSpan = 0;     //!< longest single jump
-    /// @}
 };
 
-/** A finished sweep: per-point results in grid order plus timing. */
+/** A finished sweep: per-point results in grid order plus how
+ *  they were served. */
 struct SweepReport
 {
     std::vector<ExperimentResult> results;
@@ -259,8 +244,10 @@ class ExperimentRunner
     /**
      * Write a machine-readable record for a bench run: one JSON
      * document with bench metadata, every grid point's metrics and
-     * full stats, and optional ad-hoc named metrics and claim
-     * verdicts (the BENCH_*.json format).
+     * full stats, and optional ad-hoc named metrics, warmup-sharing
+     * counts and claim verdicts (the BENCH_*.json format). Holds only
+     * what the simulation determined, so a sweep without warmup
+     * sharing renders byte-identically on every run.
      */
     static void
     writeJson(std::ostream &os, const std::string &bench,

@@ -23,7 +23,7 @@ namespace smt
 namespace
 {
 
-constexpr const char *journalSchema = "smtfetch-journal-v1";
+constexpr const char *journalSchema = "smtfetch-journal-v2";
 
 [[noreturn]] void
 codecFail(const std::string &what)
@@ -112,9 +112,41 @@ decodeOverrides(const JsonValue &doc)
     return o;
 }
 
-void
-encodeResult(JsonWriter &jw, const ExperimentResult &r)
+std::string
+headerLine(const std::string &bench, const std::string &request_key,
+           std::size_t points)
 {
+    std::ostringstream os;
+    JsonWriter jw(os, 0);
+    jw.beginObject();
+    jw.field("schema", journalSchema);
+    jw.field("bench", bench);
+    jw.field("requestKey", request_key);
+    jw.field("points", static_cast<std::uint64_t>(points));
+    jw.endObject();
+    return os.str();
+}
+
+std::string
+entryLine(std::size_t index, const ExperimentResult &result)
+{
+    std::ostringstream os;
+    JsonWriter jw(os, 0);
+    jw.beginObject();
+    jw.field("point", static_cast<std::uint64_t>(index));
+    jw.key("result");
+    jw.raw(encodeResult(result));
+    jw.endObject();
+    return os.str();
+}
+
+} // namespace
+
+std::string
+encodeResult(const ExperimentResult &r)
+{
+    std::ostringstream os;
+    JsonWriter jw(os, 0);
     jw.beginObject();
     jw.field("workload", r.workload);
     jw.field("engine", engineName(r.engine));
@@ -131,17 +163,12 @@ encodeResult(JsonWriter &jw, const ExperimentResult &r)
     jw.field("measureCycles", r.measureCycles);
     jw.field("ipfc", r.ipfc);
     jw.field("ipc", r.ipc);
-    // The sweep accounting reads these back without re-parsing the
-    // full stats document.
-    jw.field("instsCommitted", r.stats.instsCommitted);
-    jw.field("cyclesSkipped", r.stats.cyclesSkipped);
-    jw.field("sleepEvents", r.stats.sleepEvents);
-    jw.field("maxSkipSpan", r.stats.maxSkipSpan);
     // As an escaped STRING member, not a nested object: parsing a
     // nested object would funnel 64-bit counters through doubles and
     // corrupt values above 2^53; the string round-trips losslessly.
     jw.field("statsJson", r.statsJson);
     jw.endObject();
+    return os.str();
 }
 
 ExperimentResult
@@ -164,86 +191,8 @@ decodeResult(const JsonValue &doc)
     r.measureCycles = u64Member(doc, "measureCycles");
     r.ipfc = numMember(doc, "ipfc");
     r.ipc = numMember(doc, "ipc");
-    r.stats.instsCommitted = u64Member(doc, "instsCommitted");
-    r.stats.cyclesSkipped = u64Member(doc, "cyclesSkipped");
-    r.stats.sleepEvents = u64Member(doc, "sleepEvents");
-    r.stats.maxSkipSpan = u64Member(doc, "maxSkipSpan");
     r.statsJson = strMember(doc, "statsJson");
     return r;
-}
-
-std::string
-headerLine(const std::string &bench, const std::string &request_key,
-           std::size_t points)
-{
-    std::ostringstream os;
-    JsonWriter jw(os, 0);
-    jw.beginObject();
-    jw.field("schema", journalSchema);
-    jw.field("bench", bench);
-    jw.field("requestKey", request_key);
-    jw.field("points", static_cast<std::uint64_t>(points));
-    jw.endObject();
-    return os.str();
-}
-
-std::string
-entryLine(std::size_t index, const PointOutcome &outcome)
-{
-    std::ostringstream os;
-    JsonWriter jw(os, 0);
-    jw.beginObject();
-    jw.field("point", static_cast<std::uint64_t>(index));
-    jw.key("outcome");
-    jw.raw(encodeOutcome(outcome));
-    jw.endObject();
-    return os.str();
-}
-
-} // namespace
-
-std::string
-encodeOutcome(const PointOutcome &outcome)
-{
-    std::ostringstream os;
-    JsonWriter jw(os, 0);
-    jw.beginObject();
-    jw.field("served", outcome.ranWarmup  ? "warmup"
-                       : outcome.restored ? "restored"
-                                          : "direct");
-    if (outcome.restored)
-        jw.field("diskHit", outcome.diskHit);
-    jw.field("warmupSeconds", outcome.warmupSeconds);
-    jw.field("measureSeconds", outcome.measureSeconds);
-    jw.key("result");
-    encodeResult(jw, outcome.result);
-    jw.endObject();
-    return os.str();
-}
-
-PointOutcome
-decodeOutcome(const JsonValue &doc)
-{
-    if (!doc.isObject())
-        codecFail(csprintf("an outcome must be an object, found %s",
-                           doc.kindName()));
-    PointOutcome o;
-    std::string served = strMember(doc, "served");
-    if (served == "warmup")
-        o.ranWarmup = true;
-    else if (served == "restored")
-        o.restored = true;
-    else if (served == "direct")
-        o.direct = true;
-    else
-        codecFail(csprintf("unknown \"served\" value \"%s\"",
-                           served.c_str()));
-    if (const JsonValue *v = doc.find("diskHit"))
-        o.diskHit = v->asBool();
-    o.warmupSeconds = numMember(doc, "warmupSeconds");
-    o.measureSeconds = numMember(doc, "measureSeconds");
-    o.result = decodeResult(member(doc, "result"));
-    return o;
 }
 
 std::string
@@ -336,7 +285,7 @@ SweepJournal::load()
 
     // Entries: keep the first of any duplicate index, tolerate
     // exactly one torn line at the tail.
-    std::map<std::size_t, PointOutcome> seen;
+    std::map<std::size_t, ExperimentResult> seen;
     std::size_t lineno = 1;
     for (;;) {
         std::string text;
@@ -356,7 +305,7 @@ SweepJournal::load()
                     "%zu-point grid — the journal belongs to a "
                     "different request; delete it to start over",
                     path.c_str(), lineno, idx, points));
-            seen.emplace(idx, decodeOutcome(member(doc, "outcome")));
+            seen.emplace(idx, decodeResult(member(doc, "result")));
         } catch (const JournalError &) {
             throw;
         } catch (const std::exception &e) {
@@ -375,8 +324,8 @@ SweepJournal::load()
     }
 
     entries.reserve(seen.size());
-    for (auto &[idx, outcome] : seen)
-        entries.push_back({idx, std::move(outcome)});
+    for (auto &[idx, result] : seen)
+        entries.push_back({idx, std::move(result)});
 }
 
 void
@@ -400,7 +349,7 @@ SweepJournal::rewrite()
                 std::strerror(errno)));
         out << headerLine(bench, requestKey, points) << '\n';
         for (const JournalEntry &e : entries)
-            out << entryLine(e.index, e.outcome) << '\n';
+            out << entryLine(e.index, e.result) << '\n';
         out.flush();
         if (!out)
             throw JournalError(csprintf(
@@ -422,9 +371,9 @@ SweepJournal::rewrite()
 }
 
 void
-SweepJournal::append(std::size_t index, const PointOutcome &outcome)
+SweepJournal::append(std::size_t index, const ExperimentResult &result)
 {
-    std::string line = entryLine(index, outcome);
+    std::string line = entryLine(index, result);
     std::lock_guard<std::mutex> lock(m);
     os << line << '\n';
     os.flush();

@@ -3,7 +3,8 @@
  * The completed-point journal behind resumable sweeps: one JSONL file
  * per bench in the sweep's checkpointDir. Line 1 is a header binding
  * the journal to a specific request (sweepRequestKey over the expanded
- * grid); every later line records one completed grid point's outcome.
+ * grid); every later line records one completed grid point's result
+ * as `{"point": i, "result": {...}}`.
  * A sweep killed mid-run reopens the journal, skips every journaled
  * point and re-serves the rest from the persisted warmup snapshots —
  * zero recomputed points, zero re-simulated warmups.
@@ -25,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/executor.hh"
+#include "sim/experiment.hh"
 
 namespace smt
 {
@@ -39,11 +40,11 @@ class JournalError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** One journaled completion: a grid index plus what the run did. */
+/** One journaled completion: a grid index plus its result. */
 struct JournalEntry
 {
     std::size_t index = 0;
-    PointOutcome outcome;
+    ExperimentResult result;
 };
 
 /**
@@ -69,7 +70,7 @@ class SweepJournal
         return entries;
     }
 
-    void append(std::size_t index, const PointOutcome &outcome);
+    void append(std::size_t index, const ExperimentResult &result);
 
     /** "journal_<bench>.jsonl" inside the checkpoint directory. */
     static std::string pathFor(const std::string &dir,
@@ -88,12 +89,10 @@ class SweepJournal
     std::ofstream os;
 };
 
-/** @name Entry codec (compact single-line JSON documents). */
+/** @name Result codec (compact single-line JSON documents). */
 /// @{
-/** The outcome codec carries the result plus the served-by sideband
- *  (warmup/restored/direct, timings) the sweep accounting needs. */
-std::string encodeOutcome(const PointOutcome &outcome);
-PointOutcome decodeOutcome(const JsonValue &doc);
+std::string encodeResult(const ExperimentResult &result);
+ExperimentResult decodeResult(const JsonValue &doc);
 /// @}
 
 /**

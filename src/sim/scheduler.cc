@@ -17,15 +17,6 @@ namespace smt
 namespace
 {
 
-using SteadyClock = std::chrono::steady_clock;
-
-double
-secondsSince(SteadyClock::time_point start)
-{
-    return std::chrono::duration<double>(SteadyClock::now() - start)
-        .count();
-}
-
 /**
  * Fail fast when two grid points would capture to the same trace
  * file: the second run would silently overwrite the first recording.
@@ -91,16 +82,14 @@ SweepScheduler::Job::Job(const SweepRequest &request,
     }
 
     // Prefill journaled completions: the report carries their
-    // original results and timings, and they are never claimed.
+    // original results, and they are never claimed.
     std::vector<bool> done(points.size(), false);
     for (JournalEntry &e : options.precompleted) {
         if (e.index >= points.size() || done[e.index])
             continue;
         done[e.index] = true;
-        report.results[e.index] = std::move(e.outcome.result);
+        report.results[e.index] = std::move(e.result);
         ++t.journaledPoints;
-        t.warmupSeconds += e.outcome.warmupSeconds;
-        t.measureSeconds += e.outcome.measureSeconds;
     }
     for (std::size_t i = 0; i < points.size(); ++i)
         if (!done[i])
@@ -148,7 +137,6 @@ SweepScheduler::submit(const SweepRequest &request, std::string,
     checkRecordPathsUnique(request.points);
 
     auto job = std::make_unique<Job>(request, cache, std::move(options));
-    job->submitTime = SteadyClock::now();
     job->evictionsAtSubmit =
         (job->reuseEnabled && cache) ? cache->stats().evictions : 0;
 
@@ -186,22 +174,9 @@ SweepScheduler::wait(JobId id)
 void
 SweepScheduler::finalizeLocked(Job &job)
 {
-    auto &t = job.report.timing;
-    if (!job.error) {
-        for (const auto &r : job.report.results) {
-            t.simulatedCycles += r.measureCycles;
-            t.committedInsts += r.stats.instsCommitted;
-            t.cyclesSkipped += r.stats.cyclesSkipped;
-            t.sleepEvents += r.stats.sleepEvents;
-            if (r.stats.maxSkipSpan > t.maxSkipSpan)
-                t.maxSkipSpan = r.stats.maxSkipSpan;
-        }
-    }
-    if (job.reuseEnabled && cache) {
-        std::uint64_t now = cache->stats().evictions;
-        t.cacheEvictions = now - job.evictionsAtSubmit;
-    }
-    t.sweepSeconds = secondsSince(job.submitTime);
+    if (job.reuseEnabled && cache)
+        job.report.timing.cacheEvictions =
+            cache->stats().evictions - job.evictionsAtSubmit;
     job.finished = true;
     // Release the runner's captures and close the journal now, not
     // when the scheduler is destroyed. Safe here — the job is
@@ -251,7 +226,7 @@ SweepScheduler::workerLoop()
         // The journal has its own lock and flushes per line; keep
         // the file write outside the scheduler lock.
         if (!error && job.journal)
-            job.journal->append(i, outcome);
+            job.journal->append(i, outcome.result);
         lock.lock();
 
         --job.inFlight;
@@ -262,8 +237,6 @@ SweepScheduler::workerLoop()
         } else {
             job.report.results[i] = std::move(outcome.result);
             auto &t = job.report.timing;
-            t.warmupSeconds += outcome.warmupSeconds;
-            t.measureSeconds += outcome.measureSeconds;
             if (outcome.ranWarmup)
                 ++t.warmupRuns;
             if (outcome.direct)

@@ -13,7 +13,6 @@
 #ifndef SMTFETCH_SIM_SCHEDULER_HH
 #define SMTFETCH_SIM_SCHEDULER_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -119,7 +118,6 @@ class SweepScheduler
 
         SweepReport report; //!< results grow in place, grid order
         std::uint64_t evictionsAtSubmit = 0;
-        std::chrono::steady_clock::time_point submitTime;
 
         Job(const SweepRequest &request, WarmupSnapshotCache *cache,
             SubmitOptions options);

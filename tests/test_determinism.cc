@@ -2,17 +2,20 @@
  * @file
  * Determinism regression tests for the stage-graph refactor: two
  * simulations with the same seed and configuration must produce
- * bit-identical StatsRegistry dumps (text and JSON), and the stage
- * graph itself must be wired in the documented reverse-pipeline
+ * bit-identical StatsRegistry dumps (text and JSON), two sweeps of
+ * the same request must render byte-identical BENCH records, and the
+ * stage graph itself must be wired in the documented reverse-pipeline
  * order.
  */
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bpred/engine_registry.hh"
+#include "sim/experiment.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
 #include "util/logging.hh"
@@ -53,6 +56,36 @@ TEST(Determinism, IdenticalSeedsBitIdenticalRegistryDumps)
         // Sanity: the run did real work.
         EXPECT_GT(a.registry().value("commit.insts"), 1'000.0);
     }
+}
+
+TEST(Determinism, BenchRecordIsByteReproducible)
+{
+    // Warmup sharing on, with a duplicated point, so the record also
+    // carries a warmupReuse block with a restore in it.
+    SweepRequest req;
+    req.warmupCycles = 1'500;
+    req.measureCycles = 4'000;
+    req.reuseWarmup = true;
+    for (const char *wl : {"gzip", "gzip", "mcf"}) {
+        GridPoint p;
+        p.workload = wl;
+        p.engine = EngineKind::GshareBtb;
+        p.fetchThreads = 1;
+        p.fetchWidth = 8;
+        req.points.push_back(p);
+    }
+
+    auto record = [&req] {
+        SweepReport report = ExperimentRunner().run(req);
+        std::ostringstream os;
+        ExperimentRunner::writeJson(os, "det", report.results, {},
+                                    &report.timing);
+        return os.str();
+    };
+    std::string first = record();
+    EXPECT_NE(first.find("\"warmupReuse\""), std::string::npos);
+    EXPECT_NE(first.find("\"restoredRuns\": 1"), std::string::npos);
+    EXPECT_EQ(record(), first);
 }
 
 TEST(Determinism, DifferentSeedsDiverge)

@@ -6,7 +6,8 @@
  * by skipping every journaled point with zero re-simulated warmups —
  * missing points restore their warmups from the disk snapshot tier.
  * A torn final line is tolerated, and a journal written by a
- * different request fails fast, naming the file to delete.
+ * different request or an older journal schema fails fast, naming the
+ * file to delete.
  */
 
 #include <filesystem>
@@ -85,7 +86,7 @@ runJournaled(const SweepRequest &req, const std::string &bench)
 }
 
 /** The BENCH-record results array, rendered (the bit-identity lens:
- *  timing blocks are wall-clock and legitimately differ). */
+ *  the warmupReuse counts legitimately differ across resumes). */
 std::string
 resultsArray(const std::vector<ExperimentResult> &results)
 {
@@ -102,39 +103,21 @@ resultsArray(const std::vector<ExperimentResult> &results)
 
 TEST(ResultCodec, ExecutedResultRoundTripsLosslessly)
 {
-    PointOutcome o = PointExecutor(smallParams()).execute(point("gzip"));
-    ASSERT_FALSE(o.result.statsJson.empty());
+    ExperimentResult r =
+        PointExecutor(smallParams()).execute(point("gzip")).result;
+    ASSERT_FALSE(r.statsJson.empty());
 
-    std::string line = encodeOutcome(o);
-    PointOutcome back = decodeOutcome(jsonParse(line));
-    EXPECT_EQ(encodeOutcome(back), line);
+    std::string line = encodeResult(r);
+    ExperimentResult back = decodeResult(jsonParse(line));
+    EXPECT_EQ(encodeResult(back), line);
 
     // The BENCH-record rendering must survive the codec byte for
     // byte — this is what keeps resumed records diffable against
     // uninterrupted ones.
     std::ostringstream a, b;
-    ExperimentRunner::writeJson(a, "t", {o.result});
-    ExperimentRunner::writeJson(b, "t", {back.result});
+    ExperimentRunner::writeJson(a, "t", {r});
+    ExperimentRunner::writeJson(b, "t", {back});
     EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(ResultCodec, OutcomeRoundTripKeepsTheSideband)
-{
-    PointOutcome o = PointExecutor(smallParams()).execute(point("mcf"));
-    o.warmupSeconds = 0.25;
-    o.measureSeconds = 1.5;
-    o.ranWarmup = false;
-    o.direct = false;
-    o.restored = true;
-    o.diskHit = true;
-
-    PointOutcome back = decodeOutcome(jsonParse(encodeOutcome(o)));
-    EXPECT_EQ(back.warmupSeconds, o.warmupSeconds);
-    EXPECT_EQ(back.measureSeconds, o.measureSeconds);
-    EXPECT_FALSE(back.ranWarmup);
-    EXPECT_TRUE(back.restored);
-    EXPECT_TRUE(back.diskHit);
-    EXPECT_EQ(encodeOutcome(back), encodeOutcome(o));
 }
 
 TEST(ResultCodec, SweepRequestKeyTracksRequestIdentity)
@@ -172,7 +155,7 @@ TEST(Journal, JournalResumeSkipsEveryCompletedPoint)
     std::string header;
     ASSERT_TRUE(std::getline(in, header));
     JsonValue doc = jsonParse(header);
-    EXPECT_EQ(doc.find("schema")->asString(), "smtfetch-journal-v1");
+    EXPECT_EQ(doc.find("schema")->asString(), "smtfetch-journal-v2");
     EXPECT_EQ(doc.find("bench")->asString(), "resume");
     EXPECT_EQ(doc.find("requestKey")->asString(),
               sweepRequestKey(req));
@@ -234,7 +217,7 @@ TEST(Journal, TornFinalJournalLineIsTolerated)
         std::ofstream out(
             SweepJournal::pathFor(req.checkpointDir, "torn"),
             std::ios::app);
-        out << "{\"point\": 1, \"outc";
+        out << "{\"point\": 1, \"resu";
     }
 
     SweepReport rerun = runJournaled(req, "torn");
@@ -266,4 +249,27 @@ TEST(Journal, RequestKeyMismatchNamesTheJournalToDelete)
     SweepReport run = runJournaled(other, "mismatch");
     EXPECT_EQ(run.timing.journaledPoints, 0u);
     EXPECT_EQ(run.results.size(), other.points.size());
+}
+
+TEST(Journal, V1JournalNamesTheFileToDelete)
+{
+    SweepRequest req = smallRequest(freshDir("journal_v1"));
+    std::string path = SweepJournal::pathFor(req.checkpointDir, "v1");
+    {
+        std::ofstream out(path);
+        out << "{\"schema\": \"smtfetch-journal-v1\", \"bench\": "
+               "\"v1\", \"requestKey\": \""
+            << sweepRequestKey(req) << "\", \"points\": "
+            << req.points.size() << "}\n";
+    }
+    try {
+        runJournaled(req, "v1");
+        FAIL() << "expected JournalError";
+    } catch (const JournalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("delete it to start over"),
+                  std::string::npos)
+            << what;
+    }
 }

@@ -2,12 +2,11 @@
 """Validate BENCH_*.json records emitted by smtsim.
 
 Checks the smtfetch-bench-v1 schema, rejects NaN/zero metrics and
-empty stats, validates the optional `warmupReuse`, `throughput` and
-`expectations` blocks (require the first two with
---require-warmup-reuse / --require-throughput), checks each result's
-per-thread IPC and shared-cache interference counters against its
-totals (every access and miss must be attributed to exactly one
-thread), and (with
+empty stats, validates the optional `warmupReuse` and `expectations`
+blocks (require the first with --require-warmup-reuse), checks each
+result's per-thread IPC, shared-cache interference and cycle-skip
+counters against its totals (every access and miss must be attributed
+to exactly one thread), and (with
 --spec) cross-checks that every grid point the experiment spec
 expands to is present in the record, so a silently dropped series
 fails CI.
@@ -215,96 +214,53 @@ def check_metrics(metrics):
             raise CheckFailure(f"metric '{name}' is not a finite number: {value!r}")
 
 
-THROUGHPUT_SECONDS = ("wallSeconds", "measureSeconds")
-THROUGHPUT_COUNTS = ("simulatedCycles", "committedInsts")
-THROUGHPUT_RATES = ("mcyclesPerSecond", "mips")
-
-# Cycle-skip telemetry: legitimately zero when skipping is off
-# (--no-cycle-skip / "cycleSkip": false), so unlike the fields above
-# these are validated as non-negative, plus mutual consistency.
-THROUGHPUT_SKIP_COUNTS = ("cyclesSkipped", "sleepEvents", "maxSkipSpan")
+# Cycle-skip telemetry in each result's stats: legitimately zero when
+# skipping is off (--no-cycle-skip / "cycleSkip": false).
+SKIP_STATS = tuple(
+    f"sim.cycleSkip.{k}" for k in ("cyclesSkipped", "sleepEvents", "maxSkipSpan")
+)
 
 
-def check_throughput_skip(tp, require):
-    """Validate the cycle-skip counters of a throughput block."""
-    missing = [k for k in THROUGHPUT_SKIP_COUNTS if k not in tp]
+def check_cycle_skip(i, result):
+    """Check a result's cycle-skip counters against its measure window."""
+    stats = result["stats"]
+    missing = [k for k in SKIP_STATS if k not in stats]
     if missing:
-        if require:
+        if len(missing) != len(SKIP_STATS):
             raise CheckFailure(
-                f"throughput block lacks cycle-skip counters "
-                f"{missing} (was it produced by an smtsim new enough "
-                "to fast-forward quiescent cycles?)"
-            )
-        if len(missing) != len(THROUGHPUT_SKIP_COUNTS):
-            raise CheckFailure(
-                f"throughput block has only some cycle-skip counters "
+                f"results[{i}] has only some cycle-skip counters "
                 f"(missing {missing})"
             )
         return
-    for key in THROUGHPUT_SKIP_COUNTS:
-        value = tp[key]
+    for key in SKIP_STATS:
+        value = stats[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise CheckFailure(
-                f"throughput.{key} must be a non-negative integer, "
-                f"got {value!r}"
+                f"results[{i}].stats[{key!r}] must be a non-negative "
+                f"integer, got {value!r}"
             )
-    skipped, events, span = (tp[k] for k in THROUGHPUT_SKIP_COUNTS)
+    skipped, events, span = (stats[k] for k in SKIP_STATS)
     if (skipped == 0) != (events == 0) or (skipped == 0) != (span == 0):
         raise CheckFailure(
-            f"inconsistent cycle-skip counters: cyclesSkipped={skipped}, "
-            f"sleepEvents={events}, maxSkipSpan={span} (all three must "
-            "be zero or all nonzero)"
+            f"results[{i}] has inconsistent cycle-skip counters: "
+            f"cyclesSkipped={skipped}, sleepEvents={events}, "
+            f"maxSkipSpan={span} (all three must be zero or all nonzero)"
         )
     if events > skipped:
         raise CheckFailure(
-            f"throughput.sleepEvents ({events}) exceeds cyclesSkipped "
+            f"results[{i}] sleepEvents ({events}) exceeds cyclesSkipped "
             f"({skipped}): every fast-forward jumps at least one cycle"
         )
     if span > skipped:
         raise CheckFailure(
-            f"throughput.maxSkipSpan ({span}) exceeds cyclesSkipped "
+            f"results[{i}] maxSkipSpan ({span}) exceeds cyclesSkipped "
             f"({skipped})"
         )
-    if skipped > tp.get("simulatedCycles", 0):
+    if skipped > result["measureCycles"]:
         raise CheckFailure(
-            f"throughput.cyclesSkipped ({skipped}) exceeds "
-            f"simulatedCycles ({tp.get('simulatedCycles')})"
+            f"results[{i}] cyclesSkipped ({skipped}) exceeds "
+            f"measureCycles ({result['measureCycles']})"
         )
-
-
-def check_throughput(tp, results, require_skip=False):
-    """Validate the simulation-throughput block a timed sweep emits."""
-    if not isinstance(tp, dict):
-        raise CheckFailure("'throughput' must be an object")
-    for key in THROUGHPUT_SECONDS + THROUGHPUT_COUNTS + THROUGHPUT_RATES:
-        value = tp.get(key)
-        if bad_number(value):
-            raise CheckFailure(
-                f"throughput.{key} is not a finite number: {value!r}"
-            )
-        if value <= 0:
-            raise CheckFailure(
-                f"throughput.{key} must be positive, got {value!r}"
-            )
-    for key in THROUGHPUT_COUNTS:
-        if not isinstance(tp[key], int):
-            raise CheckFailure(
-                f"throughput.{key} must be an integer, got {tp[key]!r}"
-            )
-    check_throughput_skip(tp, require_skip)
-    if results:
-        cycles = [r.get("measureCycles") for r in results]
-        if any(bad_number(c) for c in cycles):
-            raise CheckFailure(
-                "cannot cross-check throughput.simulatedCycles: a "
-                "result's measureCycles is not a finite number"
-            )
-        expected_cycles = sum(cycles)
-        if tp["simulatedCycles"] != expected_cycles:
-            raise CheckFailure(
-                f"throughput.simulatedCycles is {tp['simulatedCycles']} "
-                f"but the results' measure windows sum to {expected_cycles}"
-            )
 
 
 EXPECTATION_COUNTS = ("holds", "of", "required")
@@ -350,13 +306,6 @@ WARMUP_REUSE_COUNTS = (
     "directRuns",
 )
 
-WARMUP_REUSE_SECONDS = (
-    "warmupSeconds",
-    "sweepSeconds",
-    "estimatedBaselineSeconds",
-    "estimatedSpeedup",
-)
-
 # Snapshot-cache counters: absent in records written before the
 # shared-cache runner, validated when present (all-or-nothing).
 WARMUP_REUSE_CACHE_COUNTS = ("cacheHits", "cacheDiskHits", "cacheEvictions")
@@ -389,7 +338,7 @@ def check_warmup_reuse_cache(reuse):
 
 
 def check_warmup_reuse(reuse, result_count):
-    """Validate the warmup-sharing timing block a checkpointed sweep emits."""
+    """Validate the warmup-sharing counts block a checkpointed sweep emits."""
     if not isinstance(reuse, dict):
         raise CheckFailure("'warmupReuse' must be an object")
     for key in WARMUP_REUSE_COUNTS:
@@ -397,13 +346,6 @@ def check_warmup_reuse(reuse, result_count):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise CheckFailure(
                 f"warmupReuse.{key} must be a non-negative integer, got {value!r}"
-            )
-    for key in WARMUP_REUSE_SECONDS:
-        value = reuse.get(key)
-        if bad_number(value) or value < 0:
-            raise CheckFailure(
-                f"warmupReuse.{key} must be a non-negative finite number, "
-                f"got {value!r}"
             )
     if reuse["gridPoints"] != result_count:
         raise CheckFailure(
@@ -434,15 +376,6 @@ def check_warmup_reuse(reuse, result_count):
             f"warmupReuse accounting covers {covered} points, expected "
             f"{reuse['gridPoints']} (warmupRuns + restoredRuns + directRuns "
             "+ journaledPoints)"
-        )
-    if reuse["estimatedSpeedup"] < 1.0 - 1e-9:
-        raise CheckFailure(
-            f"warmupReuse.estimatedSpeedup is {reuse['estimatedSpeedup']}, "
-            "expected >= 1 (the baseline includes every skipped warmup)"
-        )
-    if reuse["estimatedBaselineSeconds"] < reuse["sweepSeconds"] - 1e-9:
-        raise CheckFailure(
-            "warmupReuse.estimatedBaselineSeconds is smaller than sweepSeconds"
         )
     check_warmup_reuse_cache(reuse)
 
@@ -565,22 +498,13 @@ def check_file(path, args):
     if "warmupReuse" in doc:
         check_warmup_reuse(doc["warmupReuse"], len(results))
 
-    if args.require_throughput and "throughput" not in doc:
-        raise CheckFailure(
-            "record has no 'throughput' block (was it produced by an "
-            "smtsim new enough to time its sweeps?)"
-        )
-    if "throughput" in doc:
-        check_throughput(
-            doc["throughput"], results, require_skip=args.require_throughput
-        )
-
     if "expectations" in doc:
         check_expectations(doc["expectations"])
 
     for i, result in enumerate(results):
         check_result(i, result)
         check_per_thread(i, result)
+        check_cycle_skip(i, result)
     if len(results) < args.min_results:
         raise CheckFailure(
             f"expected at least {args.min_results} results, found {len(results)}"
@@ -612,15 +536,8 @@ def main():
     parser.add_argument(
         "--require-warmup-reuse",
         action="store_true",
-        help="fail unless the record carries the warmup-sharing timing "
+        help="fail unless the record carries the warmup-sharing counts "
         "block a checkpointed sweep emits",
-    )
-    parser.add_argument(
-        "--require-throughput",
-        action="store_true",
-        help="fail unless the record carries the simulation-throughput "
-        "block (wall seconds, Mcycles/s, MIPS) and its values are "
-        "finite and nonzero",
     )
     args = parser.parse_args()
 

@@ -96,9 +96,8 @@ def main():
                     for r in doc.get("results", [])
                     if r["engine"] in engines
                 ]
-                # The sweep-wide accounting blocks describe the full
+                # The sweep-wide warmupReuse block describes the full
                 # grid, not the committed subset.
-                doc.pop("throughput", None)
                 doc.pop("warmupReuse", None)
                 with open(args.golden, "w") as f:
                     json.dump(doc, f, indent=2)
