@@ -72,8 +72,14 @@ struct DynInst
     /** pred != oracle; resolves (squash+redirect) at execute. */
     bool mispredicted = false;
 
-    /** Engine state snapshot for recovery (CTIs and block ends). */
-    EngineCheckpoint ckpt;
+    /**
+     * Engine state before this instruction's fetch block, for squash
+     * repair and commit-side training. Points into the owning Rob's
+     * per-thread checkpoint ring (Rob::newCheckpoint), shared by the
+     * instructions of one fetch chunk; valid while the instruction is
+     * in flight.
+     */
+    const EngineCheckpoint *ckpt = nullptr;
     /// @}
 
     /** @name Rename state. */

@@ -180,14 +180,18 @@ FrontEnd::fetchStage(Cycle now, std::uint32_t *icounts,
                 std::min(chunk, params.engineParams.adaptiveLowWidth);
         }
 
-        // Copy the head descriptor: consume() may pop it.
-        BlockPrediction block = ts.ftq.head();
+        // The chunk's instructions share one checkpoint slot holding
+        // the head block's engine state. consume() may pop the head,
+        // so it runs after the loop.
+        const BlockPrediction &block = ts.ftq.head();
+        EngineCheckpoint &ckpt = rob.newCheckpoint(tid);
+        ckpt = block.ckpt;
         unsigned offset = ts.ftq.headOffset();
         for (unsigned k = 0; k < chunk; ++k) {
             bool is_end = offset + k + 1 == block.lengthInsts;
             DynInst &inst =
                 buildInst(ts, tid, pc + static_cast<Addr>(k) * instBytes,
-                          block, is_end, now);
+                          block, ckpt, is_end, now);
             inst.inIcount = true;
             ++icounts[tid];
             fetch_buffer.push(&inst);
@@ -234,7 +238,8 @@ FrontEnd::oracleBlock(ThreadState &ts, ThreadID tid)
 
 DynInst &
 FrontEnd::buildInst(ThreadState &ts, ThreadID tid, Addr pc,
-                    const BlockPrediction &block, bool is_end, Cycle now)
+                    const BlockPrediction &block,
+                    const EngineCheckpoint &ckpt, bool is_end, Cycle now)
 {
     DynInst &inst = rob.create(tid);
     inst.pc = pc;
@@ -245,11 +250,14 @@ FrontEnd::buildInst(ThreadState &ts, ThreadID tid, Addr pc,
     inst.si = si;
     inst.op = si != nullptr ? si->op : OpClass::IntAlu;
 
+    // Every instruction carries its block's checkpoint: CTIs need it
+    // for mispredict repair, and the long-latency-load FLUSH policy
+    // may squash from any instruction.
+    inst.ckpt = &ckpt;
     if (is_end) {
         inst.wasBlockEnd = true;
         inst.predTaken = block.predTaken;
         inst.predNext = block.nextFetchPc;
-        inst.ckpt = block.ckpt;
         if (block.endsWithCti &&
             (si == nullptr || !si->isControl())) {
             inst.bogusBlockEnd = true;
@@ -257,10 +265,6 @@ FrontEnd::buildInst(ThreadState &ts, ThreadID tid, Addr pc,
     } else {
         inst.predTaken = false;
         inst.predNext = pc + instBytes;
-        // Every instruction carries its block's checkpoint: CTIs need
-        // it for mispredict repair, and the long-latency-load FLUSH
-        // policy may squash from any instruction.
-        inst.ckpt = block.ckpt;
     }
 
     if (ts.correctPath) {
@@ -272,7 +276,7 @@ FrontEnd::buildInst(ThreadState &ts, ThreadID tid, Addr pc,
                   (unsigned long long)pc,
                   (unsigned long long)ts.trace->peekPc());
         inst.traceIndex = ts.trace->position();
-        TraceRecord rec = ts.trace->next();
+        const TraceRecord &rec = ts.trace->next();
         inst.oracleTaken = rec.taken;
         inst.oracleNext = rec.nextPc;
         inst.memAddr = rec.memAddr;

@@ -250,9 +250,11 @@ class FrontEnd
         bool active = false;
     };
 
-    /** Materialize one fetched instruction (oracle/wrong-path). */
+    /** Materialize one fetched instruction (oracle/wrong-path);
+     *  `ckpt` is the chunk's slot in the ROB checkpoint ring. */
     DynInst &buildInst(ThreadState &ts, ThreadID tid, Addr pc,
-                       const BlockPrediction &block, bool is_end,
+                       const BlockPrediction &block,
+                       const EngineCheckpoint &ckpt, bool is_end,
                        Cycle now);
 
     /**

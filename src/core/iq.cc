@@ -18,7 +18,7 @@ IssueQueues::IssueQueues(unsigned int_cap, unsigned ldst_cap,
     fpQ.reserve(fp_cap);
 }
 
-std::vector<DynInst *> &
+IssueQueues::Queue &
 IssueQueues::queueFor(IqClass c)
 {
     switch (c) {
@@ -29,7 +29,7 @@ IssueQueues::queueFor(IqClass c)
     panic("bad IQ class");
 }
 
-const std::vector<DynInst *> &
+const IssueQueues::Queue &
 IssueQueues::queueFor(IqClass c) const
 {
     switch (c) {
@@ -57,7 +57,7 @@ IssueQueues::insert(DynInst *inst)
     IqClass c = iqClassFor(inst->op);
     if (!hasSpace(c))
         panic("IQ overflow");
-    queueFor(c).push_back(inst);
+    queueFor(c).push_back(entryFor(inst));
     ++threadOcc[inst->tid];
 }
 
@@ -81,13 +81,14 @@ IssueQueues::pickReady(const RenameUnit &rename, unsigned int_fus,
         // Queues are kept in dispatch (age) order; scan oldest first.
         std::size_t w = 0;
         for (std::size_t r = 0; r < q.size(); ++r) {
-            DynInst *inst = q[r];
-            if (taken < pick.limit && rename.sourcesReady(*inst)) {
-                out.push_back(inst);
-                --threadOcc[inst->tid];
+            const Entry e = q[r];
+            if (taken < pick.limit &&
+                rename.sourcesReady(e.physSrc1, e.physSrc2, e.fp)) {
+                out.push_back(e.inst);
+                --threadOcc[e.tid];
                 ++taken;
             } else {
-                q[w++] = inst;
+                q[w++] = e;
             }
         }
         q.resize(w);
@@ -97,9 +98,9 @@ IssueQueues::pickReady(const RenameUnit &rename, unsigned int_fus,
 bool
 IssueQueues::hasReady(const RenameUnit &rename) const
 {
-    for (const auto *q : {&intQ, &ldstQ, &fpQ})
-        for (const DynInst *inst : *q)
-            if (rename.sourcesReady(*inst))
+    for (const Queue *q : {&intQ, &ldstQ, &fpQ})
+        for (const Entry &e : *q)
+            if (rename.sourcesReady(e.physSrc1, e.physSrc2, e.fp))
                 return true;
     return false;
 }
@@ -107,8 +108,8 @@ IssueQueues::hasReady(const RenameUnit &rename) const
 void
 IssueQueues::squash(ThreadID tid, InstSeqNum seq)
 {
-    auto drop = [this, tid, seq](DynInst *inst) {
-        if (inst->tid != tid || inst->seq <= seq)
+    auto drop = [this, tid, seq](const Entry &e) {
+        if (e.tid != tid || e.inst->seq <= seq)
             return false;
         --threadOcc[tid];
         return true;
@@ -142,20 +143,22 @@ IssueQueues::clear()
 namespace
 {
 
+template <typename Queue>
 void
-saveQueue(CheckpointWriter &w, const std::vector<DynInst *> &q)
+saveQueue(CheckpointWriter &w, const Queue &q)
 {
     w.u32(static_cast<std::uint32_t>(q.size()));
-    for (const DynInst *inst : q) {
-        w.i16(inst->tid);
-        w.u64(inst->seq);
+    for (const auto &e : q) {
+        w.i16(e.inst->tid);
+        w.u64(e.inst->seq);
     }
 }
 
-void
-restoreQueue(CheckpointReader &r, std::vector<DynInst *> &q,
-             unsigned cap, Rob &rob, const char *what)
+std::vector<DynInst *>
+restoreQueue(CheckpointReader &r, unsigned cap, Rob &rob,
+             const char *what)
 {
+    std::vector<DynInst *> q;
     std::uint32_t n =
         static_cast<std::uint32_t>(r.checkCount(r.u32(), 10, what));
     if (n > cap)
@@ -180,6 +183,7 @@ restoreQueue(CheckpointReader &r, std::vector<DynInst *> &q,
                             (unsigned long long)seq));
         q.push_back(inst);
     }
+    return q;
 }
 
 } // namespace
@@ -195,15 +199,16 @@ IssueQueues::save(CheckpointWriter &w) const
 void
 IssueQueues::restore(CheckpointReader &r, Rob &rob)
 {
-    restoreQueue(r, intQ, intCap, rob, "int issue");
-    restoreQueue(r, ldstQ, ldstCap, rob, "ld/st issue");
-    restoreQueue(r, fpQ, fpCap, rob, "fp issue");
-
-    // Rebuild the incremental per-thread counts (cold path).
-    threadOcc.fill(0);
-    for (const auto *q : {&intQ, &ldstQ, &fpQ})
-        for (const DynInst *inst : *q)
+    clear();
+    auto refill = [this](Queue &q, const std::vector<DynInst *> &insts) {
+        for (DynInst *inst : insts) {
+            q.push_back(entryFor(inst));
             ++threadOcc[inst->tid];
+        }
+    };
+    refill(intQ, restoreQueue(r, intCap, rob, "int issue"));
+    refill(ldstQ, restoreQueue(r, ldstCap, rob, "ld/st issue"));
+    refill(fpQ, restoreQueue(r, fpCap, rob, "fp issue"));
 }
 
 } // namespace smt

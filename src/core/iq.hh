@@ -91,12 +91,35 @@ class IssueQueues
     /// @}
 
   private:
-    std::vector<DynInst *> &queueFor(IqClass c);
-    const std::vector<DynInst *> &queueFor(IqClass c) const;
+    /**
+     * A waiting instruction with the operands selection reads, copied
+     * at insert (renaming is finished by then), so the per-cycle scans
+     * walk a compact array and never dereference a DynInst.
+     */
+    struct Entry
+    {
+        DynInst *inst;
+        RegIndex physSrc1;
+        RegIndex physSrc2;
+        ThreadID tid;
+        bool fp;
+    };
 
-    std::vector<DynInst *> intQ;
-    std::vector<DynInst *> ldstQ;
-    std::vector<DynInst *> fpQ;
+    using Queue = std::vector<Entry>;
+
+    static Entry
+    entryFor(DynInst *inst)
+    {
+        return {inst, inst->physSrc1, inst->physSrc2, inst->tid,
+                usesFpRegs(inst->op)};
+    }
+
+    Queue &queueFor(IqClass c);
+    const Queue &queueFor(IqClass c) const;
+
+    Queue intQ;
+    Queue ldstQ;
+    Queue fpQ;
     unsigned intCap;
     unsigned ldstCap;
     unsigned fpCap;

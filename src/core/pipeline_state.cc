@@ -40,7 +40,8 @@ PipelineState::squashAfter(DynInst &offender)
     ThreadID tid = offender.tid;
     InstSeqNum seq = offender.seq;
 
-    engine.recover(tid, offender.ckpt, offender.si, offender.oracleTaken,
+    engine.recover(tid, *offender.ckpt, offender.si,
+                   offender.oracleTaken,
                    offender.oracleTaken ? offender.oracleNext
                                         : invalidAddr);
 
@@ -62,6 +63,7 @@ PipelineState::squashAfter(DynInst &offender)
         ++stats.instsSquashed;
         rob.popYoungest(tid);
     }
+    rob.releaseCheckpointsAfter(tid, offender.ckpt);
 
     // Squashed correct-path instructions already consumed the trace;
     // rewind so fetch re-delivers from just after the offender. For

@@ -22,8 +22,8 @@ RenameUnit::reset(unsigned num_threads)
                  std::vector<RegIndex>(numArchFpRegs, invalidReg));
     freeInt.clear();
     freeFp.clear();
-    readyInt.assign(physIntCount, false);
-    readyFp.assign(physFpCount, false);
+    readyInt.assign(physIntCount, 0);
+    readyFp.assign(physFpCount, 0);
 
     // Architectural state owns the first num_threads * 32 registers of
     // each class; those values exist and are ready.
@@ -32,12 +32,12 @@ RenameUnit::reset(unsigned num_threads)
     for (unsigned t = 0; t < num_threads; ++t) {
         for (unsigned a = 0; a < numArchIntRegs; ++a) {
             intMap[t][a] = static_cast<RegIndex>(next_int);
-            readyInt[next_int] = true;
+            readyInt[next_int] = 1;
             ++next_int;
         }
         for (unsigned a = 0; a < numArchFpRegs; ++a) {
             fpMap[t][a] = static_cast<RegIndex>(next_fp);
-            readyFp[next_fp] = true;
+            readyFp[next_fp] = 1;
             ++next_fp;
         }
     }
@@ -78,10 +78,7 @@ RenameUnit::rename(DynInst &inst)
         inst.prevPhysDst = map[inst.archDst];
         inst.physDst = phys;
         map[inst.archDst] = phys;
-        if (fp)
-            readyFp[phys] = false;
-        else
-            readyInt[phys] = false;
+        (fp ? readyFp : readyInt)[static_cast<std::size_t>(phys)] = 0;
     }
 }
 
@@ -115,25 +112,7 @@ RenameUnit::markReady(RegIndex phys, bool fp)
 {
     if (phys == invalidReg)
         return;
-    if (fp)
-        readyFp[phys] = true;
-    else
-        readyInt[phys] = true;
-}
-
-bool
-RenameUnit::isReady(RegIndex phys, bool fp) const
-{
-    if (phys == invalidReg)
-        return true;
-    return fp ? readyFp[phys] : readyInt[phys];
-}
-
-bool
-RenameUnit::sourcesReady(const DynInst &inst) const
-{
-    bool fp = usesFpRegs(inst.op);
-    return isReady(inst.physSrc1, fp) && isReady(inst.physSrc2, fp);
+    (fp ? readyFp : readyInt)[static_cast<std::size_t>(phys)] = 1;
 }
 
 namespace
@@ -177,15 +156,15 @@ restoreRegVector(CheckpointReader &r, std::vector<RegIndex> &v,
 }
 
 void
-saveReadyBits(CheckpointWriter &w, const std::vector<bool> &v)
+saveReadyBits(CheckpointWriter &w, const std::vector<std::uint8_t> &v)
 {
     w.u32(static_cast<std::uint32_t>(v.size()));
-    for (bool ready : v)
-        w.b(ready);
+    for (std::uint8_t ready : v)
+        w.b(ready != 0);
 }
 
 void
-restoreReadyBits(CheckpointReader &r, std::vector<bool> &v,
+restoreReadyBits(CheckpointReader &r, std::vector<std::uint8_t> &v,
                  std::size_t expected, const char *what)
 {
     std::uint32_t n = r.u32();

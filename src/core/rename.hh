@@ -24,6 +24,13 @@ namespace smt
 class CheckpointReader;
 class CheckpointWriter;
 
+/** Does this op class write/read floating-point registers? */
+constexpr bool
+usesFpRegs(OpClass op)
+{
+    return op == OpClass::FpAlu;
+}
+
 /** Shared-physical-register rename engine. */
 class RenameUnit
 {
@@ -54,10 +61,29 @@ class RenameUnit
     void markReady(RegIndex phys, bool fp);
 
     /** Is the operand available? invalidReg counts as ready. */
-    bool isReady(RegIndex phys, bool fp) const;
+    bool
+    isReady(RegIndex phys, bool fp) const
+    {
+        if (phys == invalidReg)
+            return true;
+        return (fp ? readyFp : readyInt)[static_cast<std::size_t>(
+                   phys)] != 0;
+    }
+
+    /** Are both sources (of register class `fp`) ready? */
+    bool
+    sourcesReady(RegIndex src1, RegIndex src2, bool fp) const
+    {
+        return isReady(src1, fp) && isReady(src2, fp);
+    }
 
     /** Are all of an instruction's sources ready? */
-    bool sourcesReady(const DynInst &inst) const;
+    bool
+    sourcesReady(const DynInst &inst) const
+    {
+        return sourcesReady(inst.physSrc1, inst.physSrc2,
+                            usesFpRegs(inst.op));
+    }
 
     unsigned freeIntRegs() const
     {
@@ -87,16 +113,10 @@ class RenameUnit
     std::vector<RegIndex> freeInt;
     std::vector<RegIndex> freeFp;
 
-    std::vector<bool> readyInt;
-    std::vector<bool> readyFp;
+    /** Readiness scoreboards, one byte per physical register. */
+    std::vector<std::uint8_t> readyInt;
+    std::vector<std::uint8_t> readyFp;
 };
-
-/** Does this op class write/read floating-point registers? */
-constexpr bool
-usesFpRegs(OpClass op)
-{
-    return op == OpClass::FpAlu;
-}
 
 } // namespace smt
 

@@ -33,7 +33,10 @@ class Rob
      *        latches for the core's configuration).
      */
     Rob(unsigned num_threads, unsigned capacity_per_thread)
-        : lists(num_threads), nextSeq(num_threads, 1)
+        : lists(num_threads),
+          ckptRings(num_threads,
+                    std::vector<EngineCheckpoint>(capacity_per_thread)),
+          ckptNext(num_threads, 0), nextSeq(num_threads, 1)
     {
         for (auto &list : lists)
             list.setCapacity(capacity_per_thread);
@@ -85,6 +88,39 @@ class Rob
 
     void popHead(ThreadID tid) { lists[tid].pop_front(); }
     void popYoungest(ThreadID tid) { lists[tid].pop_back(); }
+
+    /**
+     * @name Per-thread checkpoint ring.
+     * Fetch takes one slot per fetch chunk and every instruction of
+     * the chunk points at it (DynInst::ckpt). Slots are taken in
+     * program order, and each slot from the oldest in-flight
+     * instruction's to the newest is referenced by at least one
+     * in-flight instruction, as long as every squash hands back the
+     * slots younger than the offender's. So at most capacity() slots
+     * are live and a ring of that size never reuses a live slot.
+     */
+    /// @{
+    /** The thread's next free slot (its contents are stale). */
+    EngineCheckpoint &
+    newCheckpoint(ThreadID tid)
+    {
+        auto &ring = ckptRings[tid];
+        std::size_t &next = ckptNext[tid];
+        EngineCheckpoint &slot = ring[next];
+        next = next + 1 == ring.size() ? 0 : next + 1;
+        return slot;
+    }
+
+    /** Squash: free every slot taken after `keep`, a slot of the
+     *  thread's ring that stays in use. */
+    void
+    releaseCheckpointsAfter(ThreadID tid, const EngineCheckpoint *keep)
+    {
+        auto &ring = ckptRings[tid];
+        std::size_t i = static_cast<std::size_t>(keep - ring.data());
+        ckptNext[tid] = i + 1 == ring.size() ? 0 : i + 1;
+    }
+    /// @}
 
     /**
      * Lookup by sequence number; nullptr if the instruction has been
@@ -140,6 +176,8 @@ class Rob
     {
         for (auto &list : lists)
             list.clear();
+        for (auto &next : ckptNext)
+            next = 0;
         for (auto &seq : nextSeq)
             seq = 1;
     }
@@ -162,6 +200,8 @@ class Rob
 
   private:
     std::vector<RingBuffer<DynInst>> lists;
+    std::vector<std::vector<EngineCheckpoint>> ckptRings;
+    std::vector<std::size_t> ckptNext; //!< next slot to hand out
     std::vector<InstSeqNum> nextSeq;
 };
 

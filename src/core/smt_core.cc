@@ -301,7 +301,7 @@ saveInst(CheckpointWriter &w, const DynInst &inst)
     w.b(inst.wasBlockEnd);
     w.b(inst.bogusBlockEnd);
     w.b(inst.mispredicted);
-    inst.ckpt.save(w);
+    inst.ckpt->save(w);
     w.i16(inst.physSrc1);
     w.i16(inst.physSrc2);
     w.i16(inst.physDst);
@@ -329,7 +329,7 @@ checkRegIndex(CheckpointReader &r, RegIndex reg, unsigned bound,
 }
 
 void
-restoreInst(CheckpointReader &r, DynInst &inst,
+restoreInst(CheckpointReader &r, DynInst &inst, EngineCheckpoint &ckpt,
             const StaticProgram &program, const CoreParams &params)
 {
     inst.seq = r.u64();
@@ -354,7 +354,8 @@ restoreInst(CheckpointReader &r, DynInst &inst,
     inst.wasBlockEnd = r.b();
     inst.bogusBlockEnd = r.b();
     inst.mispredicted = r.b();
-    inst.ckpt.restore(r, params.engineParams.rasEntries);
+    ckpt.restore(r, params.engineParams.rasEntries);
+    inst.ckpt = &ckpt;
     inst.physSrc1 = r.i16();
     inst.physSrc2 = r.i16();
     inst.physDst = r.i16();
@@ -524,7 +525,8 @@ SmtCore::restoreState(CheckpointReader &r)
         InstSeqNum prev_seq = 0;
         for (std::uint32_t i = 0; i < n; ++i) {
             DynInst &inst = rob.create(tid);
-            restoreInst(r, inst, image->program, coreParams);
+            restoreInst(r, inst, rob.newCheckpoint(tid), image->program,
+                        coreParams);
             inst.tid = tid;
             if (inst.seq <= prev_seq)
                 r.fail(csprintf("thread %u ROB sequence numbers not "

@@ -44,7 +44,7 @@ CommitStage::commitInst(DynInst &inst)
             ++st.stats.committedTaken;
         st.engine.commitCti(inst.tid, *inst.si, inst.oracleTaken,
                             inst.oracleNext, inst.wasBlockEnd,
-                            inst.mispredicted, inst.ckpt.ghist);
+                            inst.mispredicted, inst.ckpt->ghist);
     }
     if (inst.isLoad())
         ++st.stats.committedLoads;

@@ -11,9 +11,9 @@
  * Unlike std::deque, pop_front/pop_back do NOT destroy the element:
  * the popped object stays constructed in its slot until a later push
  * overwrites it (emplace_back resets it to T{}). For payloads owning
- * resources (e.g. DynInst's shared_ptr RAS snapshots) this retains
- * the resource for up to capacity-many pushes — bounded, and the
- * price of keeping the pop hot path to an index move.
+ * resources (the FTQ's block predictions hold shared RAS snapshots)
+ * this retains the resource for up to capacity-many pushes — bounded,
+ * and the price of keeping the pop hot path to an index move.
  */
 
 #ifndef SMTFETCH_UTIL_RING_BUFFER_HH

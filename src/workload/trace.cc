@@ -1,5 +1,7 @@
 #include "workload/trace.hh"
 
+#include <algorithm>
+
 #include "sim/checkpoint.hh"
 #include "util/bitfield.hh"
 #include "util/logging.hh"
@@ -7,15 +9,6 @@
 
 namespace smt
 {
-
-const TraceRecord &
-TraceSource::peek()
-{
-    if (nextIndex < generatedCount)
-        return ring[nextIndex % replayWindow];
-    ensureUpcoming();
-    return upcoming;
-}
 
 const TraceRecord &
 TraceSource::peekAhead(std::uint64_t offset)
@@ -26,16 +19,13 @@ TraceSource::peekAhead(std::uint64_t offset)
         // (anything reachable from nextIndex is inside the window).
         return ring[pos % replayWindow];
     }
-    ensureUpcoming();
-    if (pos == generatedCount)
-        return upcoming;
-    std::uint64_t k = pos - generatedCount - 1;
-    while (lookahead.size() <= k)
-        lookahead.push_back(generate());
-    return lookahead[k];
+    std::uint64_t k = pos - generatedCount;
+    while (pendingEnd - pendingHead <= k)
+        refill();
+    return pending[pendingHead + static_cast<std::size_t>(k)];
 }
 
-TraceRecord
+const TraceRecord &
 TraceSource::next()
 {
     if (nextIndex < generatedCount) {
@@ -43,9 +33,10 @@ TraceSource::next()
         return ring[nextIndex++ % replayWindow];
     }
 
-    ensureUpcoming();
-    TraceRecord rec = upcoming;
-    haveUpcoming = false;
+    if (pendingHead == pendingEnd)
+        refill();
+    TraceRecord &rec = ring[generatedCount % replayWindow];
+    rec = pending[pendingHead++];
 
     ++tstats.insts;
     if (rec.si->isControl()) {
@@ -63,7 +54,6 @@ TraceSource::next()
     if (rec.si->isStore())
         ++tstats.stores;
 
-    ring[generatedCount % replayWindow] = rec;
     ++generatedCount;
     ++nextIndex;
 
@@ -71,6 +61,34 @@ TraceSource::next()
         recorder->append(rec);
 
     return rec;
+}
+
+std::size_t
+TraceSource::generateBatch(TraceRecord *out, std::size_t)
+{
+    out[0] = generate();
+    return 1;
+}
+
+void
+TraceSource::refill()
+{
+    // Slide the unconsumed records to the front, so the buffer stays
+    // bounded by the deepest peekAhead plus one batch.
+    if (pendingHead > 0) {
+        std::copy(pending.begin() + pendingHead,
+                  pending.begin() + pendingEnd, pending.begin());
+        pendingEnd -= pendingHead;
+        pendingHead = 0;
+    }
+    if (pending.size() < pendingEnd + batchRecords)
+        pending.resize(pendingEnd + batchRecords);
+    std::size_t got = generateBatch(pending.data() + pendingEnd,
+                                    batchRecords);
+    if (got == 0 || got > batchRecords)
+        panic("trace source produced %zu records for a batch of %zu",
+              got, batchRecords);
+    pendingEnd += got;
 }
 
 void
@@ -83,20 +101,6 @@ TraceSource::rewindTo(std::uint64_t index)
     if (generatedCount - index > replayWindow)
         panic("trace rewind beyond replay window");
     nextIndex = index;
-}
-
-void
-TraceSource::ensureUpcoming()
-{
-    if (haveUpcoming)
-        return;
-    if (!lookahead.empty()) {
-        upcoming = lookahead.front();
-        lookahead.pop_front();
-    } else {
-        upcoming = generate();
-    }
-    haveUpcoming = true;
 }
 
 namespace
@@ -143,12 +147,16 @@ TraceSource::saveBase(CheckpointWriter &w) const
     w.u64(tstats.stores);
     w.u64(generatedCount);
     w.u64(nextIndex);
-    w.b(haveUpcoming);
-    if (haveUpcoming)
-        saveRecord(w, upcoming);
-    w.u32(static_cast<std::uint32_t>(lookahead.size()));
-    for (const TraceRecord &rec : lookahead)
-        saveRecord(w, rec);
+    // The pending records, written as the first ("upcoming") record
+    // and the rest ("lookahead").
+    const bool have_upcoming = pendingHead < pendingEnd;
+    w.b(have_upcoming);
+    if (have_upcoming)
+        saveRecord(w, pending[pendingHead]);
+    w.u32(static_cast<std::uint32_t>(
+        have_upcoming ? pendingEnd - pendingHead - 1 : 0));
+    for (std::size_t i = pendingHead + 1; i < pendingEnd; ++i)
+        saveRecord(w, pending[i]);
     // Only the live replay window is needed: squashes can rewind at
     // most replayWindow records behind the generation frontier.
     std::uint64_t window_start =
@@ -174,19 +182,20 @@ TraceSource::restoreBase(CheckpointReader &r)
     tstats.stores = r.u64();
     generatedCount = r.u64();
     nextIndex = r.u64();
-    haveUpcoming = r.b();
-    if (haveUpcoming)
-        upcoming = restoreRecord(r, img);
+    pending.clear();
+    if (r.b())
+        pending.push_back(restoreRecord(r, img));
     std::uint32_t nla = r.u32();
-    // The oracle lookahead is bounded by what one FTQ can hold; a
-    // huge count means a corrupt payload, not a deep lookahead.
+    // The lookahead is bounded by one batch plus what one FTQ can
+    // hold; a huge count means a corrupt payload, not a deep one.
     if (nla > 1u << 20)
         r.fail(csprintf("trace lookahead holds %u records (corrupt "
                         "payload)",
                         nla));
-    lookahead.clear();
     for (std::uint32_t i = 0; i < nla; ++i)
-        lookahead.push_back(restoreRecord(r, img));
+        pending.push_back(restoreRecord(r, img));
+    pendingHead = 0;
+    pendingEnd = pending.size();
     std::uint64_t window_start = r.u64();
     std::uint64_t expected_start =
         generatedCount > replayWindow ? generatedCount - replayWindow
@@ -209,6 +218,14 @@ SyntheticTraceStream::SyntheticTraceStream(const BenchmarkImage &image)
       indirectModels(image.indirectModels), memModels(image.memModels),
       pc(image.program.entry())
 {
+}
+
+std::size_t
+SyntheticTraceStream::generateBatch(TraceRecord *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = SyntheticTraceStream::generate();
+    return n;
 }
 
 TraceRecord

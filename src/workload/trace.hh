@@ -20,8 +20,8 @@
 #ifndef SMTFETCH_WORKLOAD_TRACE_HH
 #define SMTFETCH_WORKLOAD_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "isa/static_inst.hh"
@@ -85,12 +85,14 @@ struct TraceStats
  * Abstract correct-path instruction source for one benchmark.
  *
  * The base class owns everything the consumer-facing contract needs —
- * one-record lookahead (peek), per-thread statistics, an optional
+ * lookahead (peek, peekAhead), per-thread statistics, an optional
  * capture recorder, and a bounded replay ring supporting rewinds to a
  * recently-consumed position, which squash mechanisms that discard
  * correct-path instructions (the long-latency-load FLUSH policy) need
- * to refetch them. Backends only implement generate(): produce the
- * next never-before-seen record.
+ * to refetch them. Backends implement generate(): produce the next
+ * never-before-seen record. Records are generated ahead of
+ * consumption into a pending buffer, refilled through generateBatch(),
+ * which a backend overrides with a loop over its own generate().
  */
 class TraceSource
 {
@@ -99,19 +101,34 @@ class TraceSource
      *  in-flight instructions plus fetch run-ahead). */
     static constexpr std::size_t replayWindow = 4096;
 
+    /** Records requested from generateBatch() per refill. */
+    static constexpr std::size_t batchRecords = 64;
+
     /** @param image Must outlive the source. */
     explicit TraceSource(const BenchmarkImage &image) : img(image) {}
 
     virtual ~TraceSource() = default;
 
-    /** The next correct-path record, without consuming it. */
-    const TraceRecord &peek();
+    /**
+     * The next correct-path record, without consuming it. Like every
+     * record reference this class returns, it stays valid until the
+     * next call on the source.
+     */
+    const TraceRecord &
+    peek()
+    {
+        if (nextIndex < generatedCount)
+            return ring[nextIndex % replayWindow];
+        if (pendingHead == pendingEnd)
+            refill();
+        return pending[pendingHead];
+    }
 
     /**
      * The record `offset` positions past the next one, without
      * consuming anything (peekAhead(0) == peek()). Records past the
-     * generation frontier are produced into a lookahead buffer that
-     * next() later drains, so statistics and recording still happen
+     * generation frontier wait in the pending buffer until next()
+     * consumes them, so statistics and recording still happen
      * exactly once, at consumption order. The perfect-BP oracle in
      * core/front_end.cc uses this to read the correct path ahead of
      * the fetch stage.
@@ -122,7 +139,7 @@ class TraceSource
     Addr peekPc() { return peek().si->pc; }
 
     /** Consume and return the next correct-path record. */
-    TraceRecord next();
+    const TraceRecord &next();
 
     /** Index of the next record next() will return. */
     std::uint64_t position() const { return nextIndex; }
@@ -163,6 +180,14 @@ class TraceSource
     /** Produce the record following everything generated so far. */
     virtual TraceRecord generate() = 0;
 
+    /**
+     * Produce the next records into out[0, n): at least one, or throw
+     * the error the first of them would raise. The default produces
+     * one record with generate().
+     * @return The number of records produced.
+     */
+    virtual std::size_t generateBatch(TraceRecord *out, std::size_t n);
+
     /** @name Base-state serialization for backends. */
     /// @{
     void saveBase(CheckpointWriter &w) const;
@@ -172,30 +197,30 @@ class TraceSource
     std::uint64_t
     generatedRecords() const
     {
-        return generatedCount + (haveUpcoming ? 1 : 0) +
-               lookahead.size();
+        return generatedCount + (pendingEnd - pendingHead);
     }
     /// @}
 
     const BenchmarkImage &img;
 
   private:
-    void ensureUpcoming();
+    /** Generate at least one more pending record. */
+    void refill();
 
     TraceWriter *recorder = nullptr;
 
-    TraceRecord upcoming;
-    bool haveUpcoming = false;
-
-    /** Records generated past `upcoming` by peekAhead; ensureUpcoming
-     *  drains this before calling generate() again. */
-    std::deque<TraceRecord> lookahead;
+    /** Generated, not yet consumed records: pending[pendingHead,
+     *  pendingEnd). The checkpoint format calls the first of them the
+     *  upcoming record and the rest the lookahead. */
+    std::vector<TraceRecord> pending;
+    std::size_t pendingHead = 0;
+    std::size_t pendingEnd = 0;
 
     TraceStats tstats;
 
     /** Replay ring: records [generated - window, generated). */
     std::vector<TraceRecord> ring{replayWindow};
-    std::uint64_t generatedCount = 0; //!< records ever generated
+    std::uint64_t generatedCount = 0; //!< records ever consumed
     std::uint64_t nextIndex = 0;      //!< next record to deliver
 };
 
@@ -216,6 +241,7 @@ class SyntheticTraceStream : public TraceSource
 
   protected:
     TraceRecord generate() override;
+    std::size_t generateBatch(TraceRecord *out, std::size_t n) override;
 
   private:
     std::vector<BranchModel> branchModels;

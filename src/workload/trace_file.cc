@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #ifdef SMTFETCH_HAVE_ZLIB
 #include <zlib.h>
@@ -966,6 +967,27 @@ FileTraceStream::FileTraceStream(const BenchmarkImage &image,
             (unsigned long long)h.dataBase,
             (unsigned long long)image.program.base(),
             (unsigned long long)image.dataBase));
+}
+
+std::size_t
+FileTraceStream::generateBatch(TraceRecord *out, std::size_t n)
+{
+    if (deferredError)
+        std::rethrow_exception(std::exchange(deferredError, nullptr));
+    // Past the last record, a batch of one raises "trace exhausted".
+    const std::uint64_t left =
+        reader.header().recordCount - reader.recordsRead();
+    n = static_cast<std::size_t>(
+        std::clamp<std::uint64_t>(left, 1, n));
+    out[0] = FileTraceStream::generate();
+    std::size_t k = 1;
+    try {
+        for (; k < n; ++k)
+            out[k] = FileTraceStream::generate();
+    } catch (...) {
+        deferredError = std::current_exception();
+    }
+    return k;
 }
 
 TraceRecord

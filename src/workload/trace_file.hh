@@ -28,6 +28,7 @@
 #define SMTFETCH_WORKLOAD_TRACE_FILE_HH
 
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -317,8 +318,19 @@ class FileTraceStream : public TraceSource
   protected:
     TraceRecord generate() override;
 
+    /**
+     * Never reads past the trace's recordCount, and stops short of a
+     * record that fails to decode or validate: its error is raised by
+     * the next batch, when that record is needed, so every error
+     * surfaces at the record index it would without batching.
+     */
+    std::size_t generateBatch(TraceRecord *out, std::size_t n) override;
+
   private:
     TraceReader reader;
+
+    /** Error of the record a batch stopped short of. */
+    std::exception_ptr deferredError;
 };
 
 } // namespace smt

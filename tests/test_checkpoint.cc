@@ -133,6 +133,32 @@ TEST(CheckpointRoundTrip, FileSaveRestoreBitIdenticalAllEngines)
     }
 }
 
+TEST(CheckpointRoundTrip, FlushPolicySmallRobRoundTripIsBitIdentical)
+{
+    // FLUSH squashes from long loads inside the window, and a small
+    // ROB makes the per-thread checkpoint rings small (64 slots): the
+    // restored run (one ring slot per restored instruction) must still
+    // match the uninterrupted one (one slot per fetch chunk).
+    SimConfig cfg = smallConfig("4_MEM", EngineKind::GshareBtb, 2, 8, 5,
+                                4'000, 12'000);
+    cfg.core.longLoadPolicy = LongLoadPolicy::Flush;
+    cfg.core.robEntries = 16;
+
+    Simulator uninterrupted(cfg);
+    uninterrupted.runWarmup();
+    std::string snapshot = uninterrupted.saveCheckpointToString();
+    uninterrupted.runMeasure();
+
+    Simulator restored(cfg);
+    restored.restoreCheckpointFromString(snapshot);
+    restored.runMeasure();
+
+    EXPECT_EQ(uninterrupted.registry().jsonString(),
+              restored.registry().jsonString());
+    EXPECT_GT(restored.registry().value("issue.longLoadEvents"), 50.0);
+    EXPECT_GT(restored.registry().value("sim.instsSquashed"), 500.0);
+}
+
 TEST(CheckpointRoundTrip, InMemoryStringRoundTrip)
 {
     SimConfig cfg = smallConfig("2_ILP", EngineKind::Stream, 1, 16, 7);

@@ -289,6 +289,34 @@ TEST(RobTest, PerThreadListsAreIndependent)
     EXPECT_EQ(rob.create(0).seq, 1u); // counters rewound
 }
 
+TEST(RobTest, CheckpointRingNeverReusesALiveSlot)
+{
+    // The ROB head stalls while the instructions behind it are
+    // fetched and squashed over and over: every squash must hand its
+    // slots back, or the ring wraps onto the head's live checkpoint.
+    constexpr unsigned capacity = 8;
+    Rob rob(1, capacity);
+    DynInst &head = rob.create(0);
+    EngineCheckpoint &held = rob.newCheckpoint(0);
+    held.blockStart = 0x4000;
+    held.ghist = 0xfeed;
+    head.ckpt = &held;
+    for (unsigned round = 0; round < 3 * capacity; ++round) {
+        for (unsigned k = 0; k < 3; ++k) {
+            EngineCheckpoint &slot = rob.newCheckpoint(0);
+            slot.blockStart = 0x8000 + round;
+            slot.ghist = round;
+            rob.create(0).ckpt = &slot;
+        }
+        while (rob.size(0) > 1)
+            rob.popYoungest(0);
+        rob.releaseCheckpointsAfter(0, head.ckpt);
+    }
+    EXPECT_EQ(head.ckpt, &held);
+    EXPECT_EQ(held.blockStart, 0x4000u);
+    EXPECT_EQ(held.ghist, 0xfeedu);
+}
+
 // --- Issue queues -----------------------------------------------------
 
 TEST(IqTest, ClassMapping)

@@ -4,11 +4,17 @@
  * merging, multi-level latencies and TLBs.
  */
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/tlb.hh"
+#include "sim/checkpoint.hh"
+#include "util/random.hh"
 
 namespace smt
 {
@@ -145,6 +151,189 @@ TEST(TlbTest, LruReplacement)
     tlb.access(0, 0x04000); // evicts 0x02000
     EXPECT_TRUE(tlb.wouldHit(0, 0x00000));
     EXPECT_FALSE(tlb.wouldHit(0, 0x02000));
+}
+
+TEST(TlbTest, PageSizeMustBeAPowerOfTwo)
+{
+    EXPECT_EXIT(Tlb("itlb", 48, 0, 30), ::testing::ExitedWithCode(1),
+                "itlb.*power of two");
+    EXPECT_EXIT(Tlb("dtlb", 128, 6000, 30),
+                ::testing::ExitedWithCode(1), "dtlb.*power of two");
+    EXPECT_EXIT(Tlb("dtlb", 0, 8192, 30), ::testing::ExitedWithCode(1),
+                "dtlb.*at least one entry");
+}
+
+/**
+ * The linear-scan TLB the indexed one replaced: a hit is the first
+ * matching entry in scan order; a miss fills the last invalid entry,
+ * else the first least-recently-used one.
+ */
+class ReferenceTlb
+{
+  public:
+    ReferenceTlb(unsigned entries, unsigned page_bytes)
+        : pageBytes(page_bytes), entries(entries)
+    {
+    }
+
+    bool
+    access(ThreadID tid, Addr vaddr)
+    {
+        ++accesses;
+        std::uint64_t vpn = vaddr / pageBytes;
+        Entry *victim = &entries[0];
+        for (auto &e : entries) {
+            if (e.valid && e.tid == tid && e.vpn == vpn) {
+                e.lru = ++lruClock;
+                return true;
+            }
+            if (!e.valid)
+                victim = &e;
+            else if (victim->valid && e.lru < victim->lru)
+                victim = &e;
+        }
+        ++misses;
+        *victim = Entry{true, tid, vpn, ++lruClock};
+        return false;
+    }
+
+    /** Tlb::save's layout: entry placement must match too. */
+    void
+    save(CheckpointWriter &w) const
+    {
+        w.u32(static_cast<std::uint32_t>(entries.size()));
+        w.u64(lruClock);
+        for (const Entry &e : entries) {
+            w.b(e.valid);
+            w.i16(e.tid);
+            w.u64(e.vpn);
+            w.u64(e.lru);
+        }
+        w.u64(accesses);
+        w.u64(misses);
+    }
+
+    bool
+    wouldHit(ThreadID tid, Addr vaddr) const
+    {
+        std::uint64_t vpn = vaddr / pageBytes;
+        for (const auto &e : entries)
+            if (e.valid && e.tid == tid && e.vpn == vpn)
+                return true;
+        return false;
+    }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        ThreadID tid = invalidThread;
+        std::uint64_t vpn = 0;
+        std::uint64_t lru = 0;
+    };
+
+    unsigned pageBytes;
+    std::uint64_t lruClock = 0;
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    std::vector<Entry> entries;
+};
+
+/** One object's checkpoint section as bytes. */
+template <typename T>
+std::string
+savedBytes(const T &obj)
+{
+    std::ostringstream os(std::ios::binary);
+    CheckpointWriter w(os, "<tlb-test>", "k");
+    w.begin("tlb");
+    obj.save(w);
+    w.end();
+    w.finish();
+    return std::move(os).str();
+}
+
+TEST(TlbTest, IndexedTlbMatchesLinearScanReference)
+{
+    constexpr unsigned page = 8192;
+    constexpr Cycle penalty = 30;
+    for (unsigned entries : {48u, 128u}) {
+        for (unsigned threads : {1u, 2u, 4u, 8u}) {
+            SCOPED_TRACE(testing::Message() << entries << " entries, "
+                                            << threads << " threads");
+            Tlb tlb("T", entries, page, penalty);
+            ReferenceTlb ref(entries, page);
+            Rng rng(entries * 131 + threads);
+            // A hot set that fits beside a wider cold range: hits,
+            // capacity misses and LRU victims all occur.
+            const std::uint64_t hot = entries / (2 * threads) + 4;
+            const std::uint64_t cold = 4 * entries;
+            constexpr int accesses = 200'000;
+            std::uint64_t hits = 0;
+            for (int i = 0; i < accesses; ++i) {
+                if (i == accesses / 2) {
+                    // Resume from a checkpoint mid-stream.
+                    std::istringstream is(savedBytes(tlb),
+                                          std::ios::binary);
+                    CheckpointReader r(is, "<tlb-test>");
+                    Tlb restored("T", entries, page, penalty);
+                    r.begin("tlb");
+                    restored.restore(r);
+                    r.end();
+                    r.finish();
+                    tlb = restored;
+                }
+                auto tid = static_cast<ThreadID>(rng.below(threads));
+                std::uint64_t vpn = rng.below(4) != 0 ? rng.below(hot)
+                                                      : rng.below(cold);
+                Addr vaddr = vpn * page + rng.below(page);
+                ASSERT_EQ(tlb.wouldHit(tid, vaddr),
+                          ref.wouldHit(tid, vaddr))
+                    << "access " << i;
+                bool hit = ref.access(tid, vaddr);
+                ASSERT_EQ(tlb.access(tid, vaddr), hit ? 0 : penalty)
+                    << "access " << i;
+                hits += hit;
+            }
+            EXPECT_GT(hits, accesses / 4u);
+            EXPECT_LT(hits, accesses - accesses / 20u);
+            EXPECT_EQ(savedBytes(tlb), savedBytes(ref));
+        }
+    }
+}
+
+TEST(TlbTest, RestoreRejectsAPageMappedTwice)
+{
+    std::ostringstream os(std::ios::binary);
+    {
+        CheckpointWriter w(os, "<tlb-test>", "k");
+        w.begin("tlb");
+        w.u32(2);  // entries
+        w.u64(2);  // LRU clock
+        for (std::uint64_t lru : {1, 2}) {
+            w.b(true);
+            w.i16(0);
+            w.u64(0x42); // the same (thread, page) in both entries
+            w.u64(lru);
+        }
+        w.u64(2); // accesses
+        w.u64(2); // misses
+        w.end();
+        w.finish();
+    }
+    std::istringstream is(std::move(os).str(), std::ios::binary);
+    CheckpointReader r(is, "<tlb-test>");
+    Tlb tlb("dtlb", 2, 8192, 30);
+    r.begin("tlb");
+    try {
+        tlb.restore(r);
+        FAIL() << "duplicate TLB entries restored";
+    } catch (const CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find("dtlb maps (thread 0, "
+                                             "page 0x42) twice"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CacheTest, PerThreadAttributionSumsToTotals)

@@ -134,6 +134,37 @@ makeSmallTrace(const BenchmarkImage &img, std::size_t records = 4,
     return t;
 }
 
+/** Are two records the same correct-path instruction? */
+void
+expectSameRecord(const TraceRecord &got, const TraceRecord &want,
+                 std::size_t index)
+{
+    EXPECT_EQ(got.si, want.si) << "record " << index;
+    EXPECT_EQ(got.taken, want.taken) << "record " << index;
+    EXPECT_EQ(got.nextPc, want.nextPc) << "record " << index;
+    EXPECT_EQ(got.memAddr, want.memAddr) << "record " << index;
+}
+
+/** Save `src` and restore it into `dst` through the codec. */
+void
+roundTrip(const TraceSource &src, TraceSource &dst)
+{
+    std::ostringstream os(std::ios::binary);
+    {
+        CheckpointWriter w(os, "<trace-test>", "k");
+        w.begin("stream");
+        src.save(w);
+        w.end();
+        w.finish();
+    }
+    std::istringstream is(std::move(os).str(), std::ios::binary);
+    CheckpointReader r(is, "<trace-test>");
+    r.begin("stream");
+    dst.restore(r);
+    r.end();
+    r.finish();
+}
+
 /** Run one grid point through the request API. */
 ExperimentResult
 runPoint(Cycle warmup, Cycle measure, std::uint64_t seed,
@@ -230,6 +261,174 @@ TEST(TraceFile, ExhaustedTraceIsActionable)
     for (int i = 0; i < 50; ++i)
         replay.next();
     expectTraceError([&] { replay.next(); }, "exhausted after 50");
+}
+
+TEST(TraceFile, BatchedReplayEndsExactlyAtTheLastRecord)
+{
+    // 200 records: three full refill batches plus a partial one, in
+    // v2 blocks whose boundaries fall inside batches.
+    BenchmarkImage img = gzipImage();
+    std::string path = tempPath("batch_end.trc");
+    TraceWriteOptions opt;
+    opt.blockRecords = 48;
+    auto originals = recordSynthetic(img, path, 200, opt);
+    ASSERT_NE(originals.size() % TraceSource::batchRecords, 0u);
+
+    FileTraceStream replay(img, path);
+    for (std::size_t i = 0; i < originals.size(); ++i)
+        expectSameRecord(replay.next(), originals[i], i);
+    expectTraceError([&] { replay.peek(); }, "exhausted after 200");
+    expectTraceError([&] { replay.next(); }, "exhausted after 200");
+}
+
+TEST(TraceFile, BatchStopsShortOfACorruptRecord)
+{
+    // Record 100 carries an unknown flag bit. The batch that reaches
+    // it must still deliver records 0..99 and raise the record's own
+    // error only when record 100 is consumed.
+    BenchmarkImage img = gzipImage();
+    SmallTrace t = makeSmallTrace(img, 150);
+    std::string bytes = t.bytes;
+    const std::size_t info = t.countOffset() + 8 + 100 * 20 + 8;
+    bytes[info] = static_cast<char>(bytes[info] | 0x80);
+    std::string path = tempPath("batch_corrupt.trc");
+    writeFile(path, bytes);
+
+    FileTraceStream replay(img, path);
+    for (int i = 0; i < 100; ++i)
+        replay.next();
+    expectTraceError([&] { replay.next(); }, "record 100");
+}
+
+TEST(TraceFile, PeekAheadAcrossBatchesMatchesNext)
+{
+    BenchmarkImage img = gzipImage();
+    std::string path = tempPath("peek_batches.trc");
+    recordSynthetic(img, path, 1000);
+
+    SyntheticTraceStream synthetic(img);
+    FileTraceStream file(img, path);
+    for (TraceSource *src : {static_cast<TraceSource *>(&synthetic),
+                             static_cast<TraceSource *>(&file)}) {
+        // Start just short of the first batch boundary and look far
+        // enough ahead to need three more refills.
+        for (int i = 0; i < 60; ++i)
+            src->next();
+        std::vector<TraceRecord> ahead;
+        for (std::uint64_t k = 0; k < 200; ++k)
+            ahead.push_back(src->peekAhead(k));
+        for (std::size_t k = 0; k < ahead.size(); ++k)
+            expectSameRecord(src->next(), ahead[k], 60 + k);
+        EXPECT_EQ(src->stats().insts, 260u);
+    }
+}
+
+TEST(TraceFile, MidBatchCheckpointResumesIdentically)
+{
+    BenchmarkImage img = gzipImage();
+    std::string path = tempPath("mid_batch.trc");
+    TraceWriteOptions opt;
+    opt.blockRecords = 40;
+    recordSynthetic(img, path, 1000, opt);
+
+    auto check = [](TraceSource &reference, TraceSource &live,
+                    TraceSource &restored) {
+        for (int i = 0; i < 37; ++i) {
+            reference.next();
+            live.next();
+        }
+        live.peekAhead(90); // pending now spans two batches
+        roundTrip(live, restored);
+        EXPECT_EQ(restored.position(), 37u);
+        for (std::size_t i = 37; i < 600; ++i) {
+            const TraceRecord want = reference.next();
+            expectSameRecord(restored.next(), want, i);
+        }
+        EXPECT_EQ(restored.stats().insts, reference.stats().insts);
+    };
+    {
+        SCOPED_TRACE("synthetic");
+        SyntheticTraceStream reference(img), live(img), restored(img);
+        check(reference, live, restored);
+    }
+    {
+        SCOPED_TRACE("file");
+        FileTraceStream reference(img, path), live(img, path),
+            restored(img, path);
+        check(reference, live, restored);
+    }
+}
+
+TEST(TraceFile, CheckpointsInTheUnbatchedLayoutRestore)
+{
+    // Before batching, a stream held at most one generated-but-not-
+    // consumed record ("upcoming") plus a lookahead list that only
+    // peekAhead filled. Checkpoints written in that layout, with or
+    // without an upcoming record, must resume on the same records.
+    BenchmarkImage img = gzipImage();
+    std::string path = tempPath("unbatched.trc");
+    auto originals = recordSynthetic(img, path, 300);
+    constexpr std::size_t consumed = 100;
+
+    for (bool upcoming : {true, false}) {
+        SCOPED_TRACE(upcoming ? "upcoming" : "lookahead only");
+        const std::size_t lookahead = upcoming ? 0 : 3;
+        const std::size_t pending = (upcoming ? 1 : 0) + lookahead;
+
+        TraceStats st;
+        for (std::size_t i = 0; i < consumed; ++i) {
+            const StaticInst &si = *originals[i].si;
+            ++st.insts;
+            st.ctis += si.isControl();
+            st.takenCtis += si.isControl() && originals[i].taken;
+            st.condBranches += si.isConditional();
+            st.takenCond += si.isConditional() && originals[i].taken;
+            st.loads += si.isLoad();
+            st.stores += si.isStore();
+        }
+        auto record = [&](CheckpointWriter &w, const TraceRecord &rec) {
+            w.u64(rec.si->pc);
+            w.b(rec.taken);
+            w.u64(rec.nextPc);
+            w.u64(rec.memAddr);
+        };
+        std::ostringstream os(std::ios::binary);
+        {
+            CheckpointWriter w(os, "<trace-test>", "k");
+            w.begin("stream");
+            for (std::uint64_t v : {st.insts, st.ctis, st.condBranches,
+                                    st.takenCtis, st.takenCond,
+                                    st.loads, st.stores})
+                w.u64(v);
+            w.u64(consumed); // records consumed
+            w.u64(consumed); // next record to deliver
+            w.b(upcoming);
+            if (upcoming)
+                record(w, originals[consumed]);
+            w.u32(static_cast<std::uint32_t>(lookahead));
+            for (std::size_t i = 0; i < lookahead; ++i)
+                record(w, originals[consumed + i]);
+            w.u64(0); // replay window start
+            for (std::size_t i = 0; i < consumed; ++i)
+                record(w, originals[i]);
+            w.u64(consumed + pending); // file position
+            w.end();
+            w.finish();
+        }
+        FileTraceStream restored(img, path);
+        std::istringstream is(std::move(os).str(), std::ios::binary);
+        CheckpointReader r(is, "<trace-test>");
+        r.begin("stream");
+        restored.restore(r);
+        r.end();
+        r.finish();
+
+        for (std::size_t i = consumed; i < originals.size(); ++i)
+            expectSameRecord(restored.next(), originals[i], i);
+        EXPECT_EQ(restored.stats().insts, originals.size());
+        restored.rewindTo(40);
+        expectSameRecord(restored.next(), originals[40], 40);
+    }
 }
 
 TEST(TraceFile, ImageMismatchIsDetected)
