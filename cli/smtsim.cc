@@ -18,6 +18,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "sim/scheduler.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_spec.hh"
+#include "util/flag_value.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 #include "workload/trace_file.hh"
@@ -45,10 +47,9 @@ struct Options
     bool writeJson = true;
     std::string outDir;
     std::string recordPath;
-    Cycle recordPad = 0;
+    std::optional<Cycle> recordPad;
     std::string saveCheckpointPath;
     std::string restoreCheckpointPath;
-    bool checkpointWarmup = false;
     std::string checkpointDir;
     bool noCycleSkip = false;
     std::optional<Cycle> warmup;
@@ -102,17 +103,14 @@ usage(std::FILE *out)
         "                 skip the warmup by restoring PATH (saved\n"
         "                 under the identical configuration; the\n"
         "                 spec must expand to one grid point)\n"
-        "  --checkpoint-warmup\n"
-        "                 run each unique warmup once per sweep and\n"
-        "                 restore snapshots for the other grid\n"
-        "                 points (bit-identical; also enabled by the\n"
-        "                 spec key \"checkpointAfterWarmup\")\n"
         "  --checkpoint-dir DIR\n"
-        "                 persist warmup snapshots in DIR and reuse\n"
-        "                 them across sweeps (implies\n"
-        "                 --checkpoint-warmup); also journal every\n"
-        "                 finished point to DIR/journal_<name>.jsonl\n"
-        "                 so a killed run resumes where it stopped\n"
+        "                 run each unique warmup once and restore\n"
+        "                 its snapshot for the other grid points\n"
+        "                 (bit-identical), persisting snapshots in\n"
+        "                 DIR for reuse across sweeps; also journal\n"
+        "                 every finished point to\n"
+        "                 DIR/journal_<name>.jsonl so a killed run\n"
+        "                 resumes where it stopped\n"
         "  --no-cycle-skip\n"
         "                 tick every cycle instead of fast-\n"
         "                 forwarding over quiescent spans (debug\n"
@@ -123,8 +121,8 @@ usage(std::FILE *out)
 
 /**
  * Print every registered fetch engine. The quiet form emits bare
- * canonical names, one per line, for shell loops (the CI checkpoint
- * smoke iterates `smtsim --list-engines --quiet`).
+ * canonical names, one per line, for scripts (the checkpoint gate in
+ * tests/cli_gates.py iterates `smtsim --list-engines --quiet`).
  */
 void
 listEngines(bool quiet)
@@ -175,21 +173,12 @@ resolveSpecPath(const std::string &arg)
 std::uint64_t
 parseCount(const char *flag, const char *text)
 {
-    // Strict digits-only parse: strtoull would silently skip
-    // whitespace and wrap negative input.
-    bool ok = text[0] != '\0';
-    for (const char *p = text; *p != '\0'; ++p)
-        if (*p < '0' || *p > '9')
-            ok = false;
-    char *end = nullptr;
-    unsigned long long v = ok ? std::strtoull(text, &end, 10) : 0;
-    if (!ok || end == text || *end != '\0') {
-        std::fprintf(stderr, "smtsim: %s expects a non-negative "
-                             "integer, got \"%s\"\n",
-                     flag, text);
+    try {
+        return parseFlagValue(flag, text);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "smtsim: %s\n", e.what());
         std::exit(1);
     }
-    return v;
 }
 
 void
@@ -342,7 +331,7 @@ runOne(const Options &opt, const std::string &arg)
         if (!needsOnePoint("--record"))
             return 1;
         points[0].recordPath = opt.recordPath;
-        points[0].recordPadCycles = opt.recordPad;
+        points[0].recordPadCycles = opt.recordPad.value_or(0);
     }
     if (!opt.saveCheckpointPath.empty()) {
         if (!needsOnePoint("--save-checkpoint"))
@@ -357,8 +346,6 @@ runOne(const Options &opt, const std::string &arg)
 
     SweepRequest request = spec.makeRequest();
     request.points = std::move(points);
-    if (opt.checkpointWarmup)
-        request.reuseWarmup = true;
     if (!opt.checkpointDir.empty())
         request.checkpointDir = opt.checkpointDir;
     // A typo'd snapshot directory should fail in milliseconds, not
@@ -474,8 +461,6 @@ main(int argc, char **argv)
             opt.saveCheckpointPath = next();
         } else if (arg == "--restore-checkpoint") {
             opt.restoreCheckpointPath = next();
-        } else if (arg == "--checkpoint-warmup") {
-            opt.checkpointWarmup = true;
         } else if (arg == "--checkpoint-dir") {
             opt.checkpointDir = next();
         } else if (arg == "--no-cycle-skip") {
@@ -497,6 +482,12 @@ main(int argc, char **argv)
 
     if (opt.specs.empty()) {
         usage(stderr);
+        return 1;
+    }
+
+    if (opt.recordPad && opt.recordPath.empty()) {
+        std::fprintf(stderr, "smtsim: --record-pad pads a --record "
+                             "capture; pass --record PATH too\n");
         return 1;
     }
 

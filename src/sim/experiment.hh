@@ -141,24 +141,18 @@ struct SweepRequest
     bool cycleSkip = true;
 
     /**
-     * Warmup-snapshot sharing: group points by warmup configuration
-     * key, simulate each distinct warmup once (across every job of a
-     * SweepScheduler given one shared WarmupSnapshotCache), and
-     * restore the snapshot for every other point. Results are bit-identical to
-     * the plain path. Implied by a non-empty checkpointDir.
+     * Warmup-snapshot sharing, on exactly when non-empty: group points
+     * by warmup configuration key, simulate each distinct warmup once
+     * (across every job of a SweepScheduler given one shared
+     * WarmupSnapshotCache), and restore the snapshot for every other
+     * point. Snapshots persist in this directory, so later sweeps and
+     * processes reuse them too. Results are bit-identical to the
+     * plain path.
      */
-    bool reuseWarmup = false;
-
-    /** Persistent snapshot tier reused across sweeps and processes;
-     *  empty keeps snapshots in memory only. */
     std::string checkpointDir;
 
     /** Warmup sharing is in effect for this request. */
-    bool
-    reuseEnabled() const
-    {
-        return reuseWarmup || !checkpointDir.empty();
-    }
+    bool reuseEnabled() const { return !checkpointDir.empty(); }
 };
 
 /** How a sweep served its points (the `warmupReuse` record block). */

@@ -708,7 +708,6 @@ SweepSpec::makeRequest() const
     request.measureCycles = measureCycles;
     request.seed = seed;
     request.cycleSkip = cycleSkip;
-    request.reuseWarmup = checkpointAfterWarmup;
     request.checkpointDir = checkpointDir;
     return request;
 }
@@ -780,12 +779,11 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
         } else if (key == "output") {
             spec.output = stringValue(value, context, "\"output\"");
         } else if (key == "checkpointAfterWarmup") {
-            if (!value.isBool())
-                specFail(context,
-                         csprintf("checkpointAfterWarmup must be a "
-                                  "boolean, found %s",
-                                  value.kindName()));
-            spec.checkpointAfterWarmup = value.asBool();
+            specFail(context,
+                     "\"checkpointAfterWarmup\" was removed: warmup "
+                     "sharing now always persists its snapshots — "
+                     "delete the key and run smtsim --checkpoint-dir "
+                     "DIR (or set \"checkpointDir\")");
         } else if (key == "cycleSkip") {
             if (!value.isBool())
                 specFail(context,
@@ -799,7 +797,7 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
             if (spec.checkpointDir.empty())
                 specFail(context,
                          "checkpointDir must not be empty (omit the "
-                         "key to keep snapshots in memory)");
+                         "key to run without warmup sharing)");
         } else if (key == "instructions") {
             spec.instructions =
                 uintValue(value, context, "instructions");
@@ -816,7 +814,7 @@ SweepSpec::fromJson(const JsonValue &doc, const std::string &context)
                      csprintf("unknown spec key \"%s\" (known: "
                               "name, type, warmupCycles, "
                               "measureCycles, seed, output, "
-                              "checkpointAfterWarmup, checkpointDir, "
+                              "checkpointDir, "
                               "cycleSkip, instructions, "
                               "sweeps, workloads, engines, policies, "
                               "selection, overrides, expect)",

@@ -137,23 +137,14 @@ struct SweepSpec
     std::uint64_t instructions = 400'000;
 
     /**
-     * Warmup-snapshot sharing: run the warmup once per unique
-     * (workload, core-configuration) group, checkpoint the simulator,
-     * and restore the snapshot for every other grid point in the
-     * group (see SweepRequest::reuseWarmup). Bit-identical to the
-     * plain path.
-     */
-    bool checkpointAfterWarmup = false;
-
-    /**
      * Event-driven cycle skipping (default on; results are
      * bit-identical either way). `smtsim --no-cycle-skip` clears it
      * for debugging.
      */
     bool cycleSkip = true;
 
-    /** Persist warmup snapshots here for reuse across sweeps (keyed
-     *  by configuration hash); implies checkpointAfterWarmup. */
+    /** Share warmups through snapshots persisted here (keyed by
+     *  configuration hash; see SweepRequest::checkpointDir). */
     std::string checkpointDir;
 
     std::vector<SweepBlock> sweeps;

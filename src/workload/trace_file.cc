@@ -81,21 +81,24 @@ constexpr std::size_t headPreludeBytes = sizeof(traceMagic) + 2 + 2;
 /** Header bytes after the name: seed, codeBase, dataBase, count. */
 constexpr std::size_t headTailBytes = 4 * 8;
 
-/** v2 extension header following the v1-compatible chunk:
- *  codec u8, reserved u8, blockRecords u32, indexOffset u64,
- *  blockCount u64 (the last two backpatched on close). */
-constexpr std::size_t headV2ExtBytes = 1 + 1 + 4 + 8 + 8;
+/** Block extension following the fixed header: codec u8, reserved
+ *  u8, blockRecords u32, indexOffset u64, blockCount u64 (the last
+ *  two backpatched on close). */
+constexpr std::size_t headExtBytes = 1 + 1 + 4 + 8 + 8;
 
-/** Bytes per v2 seek-index entry: fileOffset u64, firstRecord u64. */
+/** Bytes per seek-index entry: fileOffset u64, firstRecord u64. */
 constexpr std::size_t indexEntryBytes = 16;
 
 /** Per-block frame prelude: rawBytes u32, storedBytes u32. */
 constexpr std::size_t blockFrameBytes = 8;
 
+/** The text encoding's own revision (its "strc v1" first line). */
+constexpr unsigned textFormatVersion = 1;
+
 /** Sanity cap on the benchmark-name length field. */
 constexpr std::size_t maxNameLen = 255;
 
-/** Sanity cap on v2 records-per-block (1 GB of raw payload). */
+/** Sanity cap on records-per-block (1 GB of raw payload). */
 constexpr std::uint32_t maxBlockRecords = 1u << 22;
 
 /** Compress one raw record block; TraceFileError without zlib. */
@@ -216,32 +219,24 @@ TraceWriter::TraceWriter(const std::string &path,
     : filePath(path), hdr(header)
 {
     hdr.text = traceFileIsText(path);
-    hdr.version = hdr.text ? traceFormatV1 : options.version;
+    hdr.version = traceFormatVersion;
     hdr.recordCount = 0;
     hdr.blockCount = 0;
     hdr.indexOffset = 0;
     if (hdr.benchmark.empty() || hdr.benchmark.size() > maxNameLen)
         fail(csprintf("benchmark name \"%s\" must be 1..%zu bytes",
                       hdr.benchmark.c_str(), maxNameLen));
-    if (!hdr.text && hdr.version != traceFormatV1 &&
-        hdr.version != traceFormatV2)
-        fail(csprintf("unsupported trace format version %u (this "
-                      "build writes v%u and v%u)",
-                      hdr.version, traceFormatV1, traceFormatV2));
 
     hdr.codec = options.codec;
     if (hdr.codec == traceCodecAuto)
         hdr.codec = traceCodecAvailable(traceCodecDeflate)
                         ? traceCodecDeflate
                         : traceCodecRaw;
-    if (hdr.version != traceFormatV2)
-        hdr.codec = traceCodecRaw;
     if (!traceCodecAvailable(hdr.codec))
         fail(csprintf("codec \"%s\" is not available in this build",
                       traceCodecName(hdr.codec)));
     hdr.blockRecords = options.blockRecords;
-    if (hdr.version == traceFormatV2 &&
-        (hdr.blockRecords == 0 || hdr.blockRecords > maxBlockRecords))
+    if (hdr.blockRecords == 0 || hdr.blockRecords > maxBlockRecords)
         fail(csprintf("block size %u records out of range [1, %u]",
                       hdr.blockRecords, maxBlockRecords));
 
@@ -258,16 +253,12 @@ TraceWriter::TraceWriter(const std::string &path,
         put64(head, hdr.codeBase);
         put64(head, hdr.dataBase);
         put64(head, 0); // recordCount, patched by close()
-        if (hdr.version == traceFormatV2) {
-            head.push_back(static_cast<char>(hdr.codec));
-            head.push_back(0); // reserved
-            put32(head, hdr.blockRecords);
-            put64(head, 0); // indexOffset, patched by close()
-            put64(head, 0); // blockCount, patched by close()
-            blockBuf.reserve(static_cast<std::size_t>(
-                                 hdr.blockRecords) *
-                             traceRecordBytes);
-        }
+        head.push_back(static_cast<char>(hdr.codec));
+        head.push_back(0); // reserved
+        put32(head, hdr.blockRecords);
+        put64(head, 0); // indexOffset, patched by close()
+        put64(head, 0); // blockCount, patched by close()
+        blockBuf.reserve(hdr.blockRecords * traceRecordBytes);
         os.write(head.data(),
                  static_cast<std::streamsize>(head.size()));
     }
@@ -309,30 +300,27 @@ TraceWriter::append(const PackedTraceRecord &rec)
         return;
     }
 
-    std::string buf;
-    buf.reserve(traceRecordBytes);
-    put32(buf, packWord(rec.pc, hdr.codeBase, filePath, "record pc"));
-    put32(buf, packWord(rec.nextPc, hdr.codeBase, filePath,
-                        "record next-pc"));
+    // Pack both words before appending, so a bad address leaves no
+    // partial record in the block.
+    const std::uint32_t pc_word =
+        packWord(rec.pc, hdr.codeBase, filePath, "record pc");
+    const std::uint32_t next_word = packWord(
+        rec.nextPc, hdr.codeBase, filePath, "record next-pc");
+    put32(blockBuf, pc_word);
+    put32(blockBuf, next_word);
     unsigned info = static_cast<unsigned>(rec.kind) & infoKindMask;
     if (rec.taken)
         info |= infoTakenBit;
     bool has_mem = rec.memAddr != invalidAddr;
     if (has_mem)
         info |= infoMemBit;
-    buf.push_back(static_cast<char>(info));
-    buf.push_back(static_cast<char>(rec.depDepth));
-    put16(buf, 0); // reserved
-    put64(buf, has_mem ? rec.memAddr : 0);
+    blockBuf.push_back(static_cast<char>(info));
+    blockBuf.push_back(static_cast<char>(rec.depDepth));
+    put16(blockBuf, 0); // reserved
+    put64(blockBuf, has_mem ? rec.memAddr : 0);
     ++count;
-
-    if (hdr.version == traceFormatV2) {
-        blockBuf += buf;
-        if (++blockBuffered == hdr.blockRecords)
-            flushBlock();
-        return;
-    }
-    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    if (++blockBuffered == hdr.blockRecords)
+        flushBlock();
 }
 
 void
@@ -369,7 +357,7 @@ TraceWriter::close()
 
     if (hdr.text) {
         std::ostringstream text;
-        text << "strc v" << hdr.version << "\n";
+        text << "strc v" << textFormatVersion << "\n";
         text << "benchmark " << hdr.benchmark << "\n";
         text << "seed " << hdr.seed << "\n";
         text << "codeBase 0x" << std::hex << hdr.codeBase << std::dec
@@ -391,29 +379,24 @@ TraceWriter::close()
         std::string s = text.str();
         os.write(s.data(), static_cast<std::streamsize>(s.size()));
     } else {
-        if (hdr.version == traceFormatV2) {
-            flushBlock();
-            // The seek index trails the payload: magic, then one
-            // (fileOffset, firstRecord) pair per block.
-            hdr.indexOffset = static_cast<std::uint64_t>(os.tellp());
-            hdr.blockCount = index.size();
-            std::string idx(traceIndexMagic,
-                            sizeof(traceIndexMagic));
-            for (const IndexEntry &e : index) {
-                put64(idx, e.fileOffset);
-                put64(idx, e.firstRecord);
-            }
-            os.write(idx.data(),
-                     static_cast<std::streamsize>(idx.size()));
-            std::string ext;
-            put64(ext, hdr.indexOffset);
-            put64(ext, hdr.blockCount);
-            os.seekp(static_cast<std::streamoff>(
-                headPreludeBytes + hdr.benchmark.size() +
-                headTailBytes + 6));
-            os.write(ext.data(),
-                     static_cast<std::streamsize>(ext.size()));
+        flushBlock();
+        // The seek index trails the payload: magic, then one
+        // (fileOffset, firstRecord) pair per block.
+        hdr.indexOffset = static_cast<std::uint64_t>(os.tellp());
+        hdr.blockCount = index.size();
+        std::string idx(traceIndexMagic, sizeof(traceIndexMagic));
+        for (const IndexEntry &e : index) {
+            put64(idx, e.fileOffset);
+            put64(idx, e.firstRecord);
         }
+        os.write(idx.data(), static_cast<std::streamsize>(idx.size()));
+        std::string ext;
+        put64(ext, hdr.indexOffset);
+        put64(ext, hdr.blockCount);
+        os.seekp(static_cast<std::streamoff>(
+            headPreludeBytes + hdr.benchmark.size() + headTailBytes +
+            6));
+        os.write(ext.data(), static_cast<std::streamsize>(ext.size()));
         // Patch the record count now that it is known.
         std::string buf;
         put64(buf, count);
@@ -476,11 +459,11 @@ TraceReader::readBinaryHeader()
 
     errOffset = sizeof(traceMagic);
     hdr.version = get16(prelude + sizeof(traceMagic));
-    if (hdr.version != traceFormatV1 && hdr.version != traceFormatV2)
+    if (hdr.version != traceFormatVersion)
         fail(csprintf("format version %u, but this build reads "
-                      "versions %u and %u — re-record the trace "
-                      "with this build's --record",
-                      hdr.version, traceFormatV1, traceFormatV2));
+                      "version %u — re-record the trace with this "
+                      "build's --record or tracegen",
+                      hdr.version, traceFormatVersion));
 
     errOffset = sizeof(traceMagic) + 2;
     const std::size_t name_len =
@@ -508,46 +491,26 @@ TraceReader::readBinaryHeader()
     hdr.recordCount = get64(tail + 24);
 
     headerBytes = headPreludeBytes + name_len + headTailBytes;
-    if (hdr.version == traceFormatV2) {
-        readV2Extension(file_size);
-        if (!headerOnly)
-            readV2Index(file_size);
-        return;
-    }
-
-    errOffset = headerBytes;
-    const std::uint64_t payload = file_size - headerBytes;
-    if (hdr.recordCount > payload / traceRecordBytes)
-        fail(csprintf("header promises %llu records (%llu bytes) but "
-                      "only %llu payload bytes follow the header — "
-                      "truncated or overflowing count",
-                      (unsigned long long)hdr.recordCount,
-                      (unsigned long long)(hdr.recordCount *
-                                           traceRecordBytes),
-                      (unsigned long long)payload));
-    if (payload != hdr.recordCount * traceRecordBytes)
-        fail(csprintf("%llu trailing bytes after the last record "
-                      "(corrupt record count?)",
-                      (unsigned long long)(payload -
-                                           hdr.recordCount *
-                                               traceRecordBytes)));
+    readExtension(file_size);
+    if (!headerOnly)
+        readIndex();
 }
 
 void
-TraceReader::readV2Extension(std::uint64_t file_size)
+TraceReader::readExtension(std::uint64_t file_size)
 {
     errOffset = headerBytes;
-    unsigned char ext[headV2ExtBytes];
+    unsigned char ext[headExtBytes];
     if (!is.read(reinterpret_cast<char *>(ext), sizeof(ext)))
-        fail(csprintf("truncated v2 extension header: expected %zu "
-                      "bytes at offset %llu, file is %llu",
-                      headV2ExtBytes, (unsigned long long)headerBytes,
+        fail(csprintf("truncated block extension header: expected "
+                      "%zu bytes at offset %llu, file is %llu",
+                      headExtBytes, (unsigned long long)headerBytes,
                       (unsigned long long)file_size));
     hdr.codec = ext[0];
     hdr.blockRecords = get32(ext + 2);
     hdr.indexOffset = get64(ext + 6);
     hdr.blockCount = get64(ext + 14);
-    headerBytes += headV2ExtBytes;
+    headerBytes += headExtBytes;
 
     if (hdr.codec != traceCodecRaw && hdr.codec != traceCodecDeflate)
         fail(csprintf("unknown record-block codec %u (known: %u raw, "
@@ -590,9 +553,8 @@ TraceReader::readV2Extension(std::uint64_t file_size)
 }
 
 void
-TraceReader::readV2Index(std::uint64_t file_size)
+TraceReader::readIndex()
 {
-    (void)file_size;
     errOffset = hdr.indexOffset;
     is.seekg(static_cast<std::streamoff>(hdr.indexOffset));
     unsigned char magic[sizeof(traceIndexMagic)];
@@ -676,11 +638,11 @@ TraceReader::parseText(bool header_only)
                 lineFail("a text trace must start with \"strc v1\"");
             std::string ver;
             if (!(ls >> ver) ||
-                ver != csprintf("v%u", traceFormatV1))
+                ver != csprintf("v%u", textFormatVersion))
                 lineFail(csprintf(
                     "unsupported text-trace version \"%s\" — this "
                     "build reads \"v%u\"",
-                    ver.c_str(), traceFormatV1));
+                    ver.c_str(), textFormatVersion));
             saw_version = true;
             continue;
         }
@@ -835,19 +797,22 @@ TraceReader::loadBlock(std::uint64_t block)
 }
 
 void
-TraceReader::decodeRecord(const unsigned char *buf,
-                          PackedTraceRecord &out)
+TraceReader::decodeRecord(PackedTraceRecord &out)
 {
+    const unsigned char *buf =
+        reinterpret_cast<const unsigned char *>(blockData.data()) +
+        static_cast<std::size_t>(blockPos) * traceRecordBytes;
     const unsigned info = buf[8];
     if ((info & ~infoKnownBits) != 0)
-        fail(csprintf("record %llu has unknown flag bits 0x%x set "
-                      "(file written by a newer format revision?)",
-                      (unsigned long long)count,
-                      info & ~infoKnownBits));
+        recordFail(csprintf("record %llu has unknown flag bits 0x%x "
+                            "set (file written by a newer format "
+                            "revision?)",
+                            (unsigned long long)count,
+                            info & ~infoKnownBits));
     const unsigned kind = info & infoKindMask;
     if (kind > maxOpKind)
-        fail(csprintf("record %llu has invalid op kind %u",
-                      (unsigned long long)count, kind));
+        recordFail(csprintf("record %llu has invalid op kind %u",
+                            (unsigned long long)count, kind));
 
     out.pc = hdr.codeBase +
              static_cast<Addr>(get32(buf)) * instBytes;
@@ -858,6 +823,22 @@ TraceReader::decodeRecord(const unsigned char *buf,
     out.depDepth = buf[9];
     out.memAddr =
         (info & infoMemBit) != 0 ? get64(buf + 12) : invalidAddr;
+}
+
+void
+TraceReader::recordFail(const std::string &what)
+{
+    // A raw block stores records verbatim, so the record has a file
+    // offset; a deflated one only has a place in its block.
+    const std::uint64_t block = curBlock - 1;
+    if (hdr.codec != traceCodecRaw)
+        throw TraceFileError(csprintf(
+            "%s (block %llu, record %u of the block): %s",
+            filePath.c_str(), (unsigned long long)block, blockPos,
+            what.c_str()));
+    errOffset = index[block].fileOffset + blockFrameBytes +
+                blockPos * traceRecordBytes;
+    fail(what);
 }
 
 bool
@@ -871,27 +852,10 @@ TraceReader::next(PackedTraceRecord &out)
         return true;
     }
 
-    if (hdr.version == traceFormatV2) {
-        if (curBlock == 0 || blockPos == blockLen)
-            loadBlock(count / hdr.blockRecords);
-        decodeRecord(reinterpret_cast<const unsigned char *>(
-                         blockData.data()) +
-                         static_cast<std::size_t>(blockPos) *
-                             traceRecordBytes,
-                     out);
-        ++blockPos;
-        ++count;
-        return true;
-    }
-
-    errOffset = headerBytes + count * traceRecordBytes;
-    unsigned char buf[traceRecordBytes];
-    if (!is.read(reinterpret_cast<char *>(buf), sizeof(buf)))
-        fail(csprintf("truncated record %llu (header promises %llu "
-                      "records)",
-                      (unsigned long long)count,
-                      (unsigned long long)hdr.recordCount));
-    decodeRecord(buf, out);
+    if (curBlock == 0 || blockPos == blockLen)
+        loadBlock(count / hdr.blockRecords);
+    decodeRecord(out);
+    ++blockPos;
     ++count;
     return true;
 }
@@ -908,25 +872,17 @@ TraceReader::skipTo(std::uint64_t record_index)
     if (hdr.text || headerOnly)
         return;
 
-    if (hdr.version == traceFormatV2) {
-        if (record_index == hdr.recordCount) {
-            // End-of-trace: no block need be resident.
-            curBlock = 0;
-            blockLen = 0;
-            blockPos = 0;
-            return;
-        }
-        const std::uint64_t block = record_index / hdr.blockRecords;
-        if (curBlock != block + 1)
-            loadBlock(block);
-        blockPos =
-            static_cast<std::uint32_t>(record_index - blockFirst);
+    if (record_index == hdr.recordCount) {
+        // End-of-trace: no block need be resident.
+        curBlock = 0;
+        blockLen = 0;
+        blockPos = 0;
         return;
     }
-
-    is.clear();
-    is.seekg(static_cast<std::streamoff>(
-        headerBytes + record_index * traceRecordBytes));
+    const std::uint64_t block = record_index / hdr.blockRecords;
+    if (curBlock != block + 1)
+        loadBlock(block);
+    blockPos = static_cast<std::uint32_t>(record_index - blockFirst);
 }
 
 void
@@ -1054,8 +1010,8 @@ FileTraceStream::restore(CheckpointReader &r)
                         (unsigned long long)skip,
                         (unsigned long long)generatedRecords()));
     // The file content is immutable, so resuming is repositioning
-    // past the already-consumed prefix — O(1) via the fixed record
-    // stride (v1) or the block seek index (v2).
+    // past the already-consumed prefix — O(1) via the block seek
+    // index.
     if (skip > reader.header().recordCount)
         r.fail(csprintf("%s holds only %llu records but the "
                         "checkpoint consumed %llu — the checkpoint "

@@ -7,21 +7,20 @@
  * executes over (benchmark profile name, build seed, code/data bases).
  * Two encodings share the same logical content:
  *
- *  - binary (`.trc`): a fixed-size little-endian header followed by
- *    the record payload — the production format `smtsim --record`
- *    writes and FileTraceStream replays. Two binary revisions exist:
- *    v1 is a flat array of packed 20-byte records; v2 (the default
- *    written) groups records into framed blocks — optionally
- *    deflate-compressed — and appends a per-block seek index, so
+ *  - binary (`.trc`, format version 2): a little-endian header, the
+ *    packed 20-byte records grouped into framed blocks — optionally
+ *    deflate-compressed — and a trailing per-block seek index, so
  *    replay streams one block at a time in bounded memory and
- *    checkpoint restore seeks instead of re-reading the prefix;
+ *    checkpoint restore seeks instead of re-reading the prefix. It
+ *    is the format `smtsim --record` writes and FileTraceStream
+ *    replays;
  *  - text (`.strc`): a line-oriented rendering for hand-written test
  *    fixtures and human inspection.
  *
  * Every malformed input is a TraceFileError with an actionable
- * message, never UB: bad magic, version skew, truncated headers or
- * records, and counts that disagree with the file size are all
- * detected up front.
+ * message, never UB: bad magic, version skew, truncated headers and
+ * a block index that disagrees with the record count or the file
+ * size are all detected up front.
  */
 
 #ifndef SMTFETCH_WORKLOAD_TRACE_FILE_HH
@@ -49,30 +48,24 @@ class TraceFileError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** The legacy flat-record binary revision (still read). */
-constexpr std::uint16_t traceFormatV1 = 1;
-
 /**
- * The streamed revision this build writes by default: records are
+ * The one binary revision this build reads and writes: records are
  * grouped into fixed-size framed blocks (optionally compressed) and
  * a per-block seek index trails the file, so readers decode one
  * block at a time in bounded memory and seek in O(1).
  */
-constexpr std::uint16_t traceFormatV2 = 2;
-
-/** The trace format revision this build writes by default. */
-constexpr std::uint16_t traceFormatVersion = traceFormatV2;
+constexpr std::uint16_t traceFormatVersion = 2;
 
 /** Binary file magic ("SMTTRC", no terminator). */
 constexpr char traceMagic[6] = {'S', 'M', 'T', 'T', 'R', 'C'};
 
-/** v2 seek-index magic ("SMTIDX", no terminator). */
+/** Seek-index magic ("SMTIDX", no terminator). */
 constexpr char traceIndexMagic[6] = {'S', 'M', 'T', 'I', 'D', 'X'};
 
 /** Size in bytes of one packed binary record. */
 constexpr std::size_t traceRecordBytes = 20;
 
-/** @name v2 record-block codecs (one byte in the v2 header). */
+/** @name Record-block codecs (one byte in the header). */
 /// @{
 constexpr std::uint8_t traceCodecRaw = 0;     //!< stored verbatim
 constexpr std::uint8_t traceCodecDeflate = 1; //!< zlib deflate
@@ -86,7 +79,7 @@ bool traceCodecAvailable(std::uint8_t codec);
 /** Human-readable codec name ("raw", "deflate", ...). */
 const char *traceCodecName(std::uint8_t codec);
 
-/** Records per full v2 block (80 KB of raw payload). */
+/** Records per full block (80 KB of raw payload). */
 constexpr std::uint32_t traceBlockRecordsDefault = 4096;
 
 /**
@@ -105,7 +98,7 @@ struct TraceFileHeader
     std::uint64_t recordCount = 0;
     bool text = false;           //!< encoding of the backing file
 
-    /** @name v2-only fields (defaults describe a v1 file). */
+    /** @name Block layout (binary encoding only). */
     /// @{
     std::uint8_t codec = traceCodecRaw;
     std::uint32_t blockRecords = 0; //!< records per full block
@@ -133,25 +126,22 @@ struct PackedTraceRecord
 /** Does the path name the text encoding (`.strc`)? */
 bool traceFileIsText(const std::string &path);
 
-/** Knobs for TraceWriter: format revision, codec, block size. */
+/** Knobs for TraceWriter's binary encoding: codec, block size. */
 struct TraceWriteOptions
 {
-    /** traceFormatV1 or traceFormatV2 (binary encodings only). */
-    std::uint16_t version = traceFormatVersion;
-
-    /** v2 block codec; traceCodecAuto resolves per build. */
+    /** Block codec; traceCodecAuto resolves per build. */
     std::uint8_t codec = traceCodecAuto;
 
-    /** v2 records per full block (the steady-state buffer size). */
+    /** Records per full block (the steady-state buffer size). */
     std::uint32_t blockRecords = traceBlockRecordsDefault;
 };
 
 /**
  * Streaming trace capture. The encoding follows the path's extension.
- * The header's recordCount (and, for v2, the block index) is patched
- * on close(); for text the buffered records are flushed then;
- * destruction closes. Binary v2 buffers at most one record block,
- * so capture memory stays O(block) regardless of trace length.
+ * The header's recordCount and block index are patched on close();
+ * for text the buffered records are flushed then; destruction
+ * closes. Binary capture buffers at most one record block, so its
+ * memory stays O(block) regardless of trace length.
  */
 class TraceWriter
 {
@@ -178,7 +168,7 @@ class TraceWriter
   private:
     [[noreturn]] void fail(const std::string &what) const;
 
-    /** Frame (and compress) the buffered v2 block to disk. */
+    /** Frame (and compress) the buffered block to disk. */
     void flushBlock();
 
     std::string filePath;
@@ -187,11 +177,11 @@ class TraceWriter
     std::uint64_t count = 0;
     bool closed = false;
 
-    /** One buffered v2 record block (encoded, uncompressed). */
+    /** One buffered record block (encoded, uncompressed). */
     std::string blockBuf;
     std::uint32_t blockBuffered = 0; //!< records in blockBuf
 
-    /** v2 seek index accumulated as blocks flush. */
+    /** Seek index accumulated as blocks flush. */
     struct IndexEntry
     {
         std::uint64_t fileOffset;
@@ -204,13 +194,14 @@ class TraceWriter
 };
 
 /**
- * Sequential trace decoder for every on-disk revision. The
- * constructor validates the whole header — including that the record
- * count agrees with the file size (v1) or that the block index is
- * self-consistent (v2) — so corruption surfaces before any
- * simulation starts. v2 payloads decode one block at a time: memory
- * stays O(block) however long the trace is. Every malformed-input
- * error names the file and the byte offset of the offending data.
+ * Sequential trace decoder for both encodings. The constructor
+ * validates the whole header — including that the block index is
+ * self-consistent — so corruption surfaces before any simulation
+ * starts. Binary payloads decode one block at a time: memory stays
+ * O(block) however long the trace is. Every malformed-input error
+ * names the file and where the offending data sits: its byte offset,
+ * or, inside a deflated block, the block and the record's index in
+ * it.
  */
 class TraceReader
 {
@@ -235,8 +226,8 @@ class TraceReader
     /**
      * Reposition so the next next() call delivers record
      * `record_index` (== recordCount positions at end-of-trace).
-     * O(1) for v1 (fixed-stride records) and v2 (seek index); a
-     * TraceFileError past the end of the trace.
+     * O(1) through the seek index; a TraceFileError past the end of
+     * the trace.
      */
     void skipTo(std::uint64_t record_index);
 
@@ -247,11 +238,15 @@ class TraceReader
     [[noreturn]] void fail(const std::string &what) const;
 
     void readBinaryHeader();
-    void readV2Extension(std::uint64_t file_size);
-    void readV2Index(std::uint64_t file_size);
+    void readExtension(std::uint64_t file_size);
+    void readIndex();
     void loadBlock(std::uint64_t block);
-    void decodeRecord(const unsigned char *buf,
-                      PackedTraceRecord &out);
+
+    /** Decode the record at blockPos of the loaded block. */
+    void decodeRecord(PackedTraceRecord &out);
+
+    /** Fail naming where the record at blockPos sits. */
+    [[noreturn]] void recordFail(const std::string &what);
     void parseText(bool header_only);
 
     std::string filePath;
@@ -263,10 +258,10 @@ class TraceReader
     /** File offset for error messages (next unread structure). */
     std::uint64_t errOffset = 0;
 
-    /** End of the (v1-compatible + v2 extension) header. */
+    /** End of the header (fixed part plus block extension). */
     std::uint64_t headerBytes = 0;
 
-    /** @name v2 streaming state. */
+    /** @name Block streaming state. */
     /// @{
     struct IndexEntry
     {

@@ -38,6 +38,16 @@ tempPath(const std::string &name)
     return ::testing::TempDir() + name;
 }
 
+/** An empty directory under the test temp dir. */
+std::string
+freshDir(const std::string &name)
+{
+    std::string dir = tempPath(name);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
 SimConfig
 smallConfig(const std::string &wl, EngineKind e, unsigned n, unsigned x,
             std::uint64_t seed = 0, Cycle warmup = 3'000,
@@ -241,12 +251,10 @@ expectReuseBitIdentical(SweepSpec spec,
                         SweepTiming &timing)
 {
     SweepRequest plain_request = spec.makeRequest();
-    plain_request.reuseWarmup = false;
     plain_request.checkpointDir.clear();
     auto plain = ExperimentRunner().run(plain_request).results;
 
     SweepRequest reuse_request = spec.makeRequest();
-    reuse_request.reuseWarmup = true;
     reuse_request.checkpointDir = checkpoint_dir;
     SweepReport report = ExperimentRunner().run(reuse_request);
     const auto &reused = report.results;
@@ -269,7 +277,7 @@ TEST(WarmupReuse, Fig2SpecBitIdenticalAndOneWarmupPerGroup)
     SweepSpec spec = SweepSpec::fromFile(defaultConfigDir() +
                                          "/fig2_single_thread.json");
     SweepTiming timing;
-    expectReuseBitIdentical(spec, "", timing);
+    expectReuseBitIdentical(spec, freshDir("reuse_fig2"), timing);
     // fig2's grid points all differ in core configuration, so every
     // group is its own warmup — exactly one warmup per unique
     // (workload, core-config) group, none reused, none direct.
@@ -284,7 +292,7 @@ TEST(WarmupReuse, Fig4SpecBitIdenticalAndOneWarmupPerGroup)
     SweepSpec spec = SweepSpec::fromFile(defaultConfigDir() +
                                          "/fig4_two_threads.json");
     SweepTiming timing;
-    expectReuseBitIdentical(spec, "", timing);
+    expectReuseBitIdentical(spec, freshDir("reuse_fig4"), timing);
     EXPECT_EQ(timing.warmupGroups, timing.gridPoints);
     EXPECT_EQ(timing.warmupRuns, timing.warmupGroups);
     EXPECT_EQ(timing.restoredRuns, 0u);
@@ -307,7 +315,7 @@ TEST(WarmupReuse, DuplicateConfigPointsShareOneWarmup)
         ]
     })");
     SweepTiming timing;
-    expectReuseBitIdentical(spec, "", timing);
+    expectReuseBitIdentical(spec, freshDir("reuse_dup"), timing);
     EXPECT_EQ(timing.gridPoints, 2u);
     EXPECT_EQ(timing.warmupGroups, 1u);
     EXPECT_EQ(timing.warmupRuns, 1u);
@@ -324,13 +332,8 @@ TEST(WarmupReuse, DiskCacheServesLaterSweepsWithoutWarmup)
         "engines": ["gshare+BTB", "stream"],
         "policies": ["1.8"]
     })");
-    std::string dir = ::testing::TempDir() + "ckpt_cache";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-
     SweepRequest request = spec.makeRequest();
-    request.reuseWarmup = true;
-    request.checkpointDir = dir;
+    request.checkpointDir = freshDir("ckpt_cache");
 
     // Each run() call gets a fresh in-memory cache, so the second
     // sweep can only be served by the persisted disk tier.
@@ -370,7 +373,7 @@ TEST(WarmupReuse, RecordingPointsBypassTheReusePath)
     SweepRequest request = spec.makeRequest();
     ASSERT_EQ(request.points.size(), 1u);
     request.points[0].recordPath = tempPath("reuse_bypass.trc");
-    request.reuseWarmup = true;
+    request.checkpointDir = freshDir("reuse_bypass");
 
     SweepReport report = ExperimentRunner().run(request);
     EXPECT_EQ(report.timing.directRuns, 1u);
@@ -749,33 +752,28 @@ TEST(CacheRestore, RestoredCacheReplaysIdenticalHitMissSequence)
 // Spec-level wiring
 // ---------------------------------------------------------------------
 
-TEST(CheckpointSpec, CheckpointAfterWarmupSpecKeyParsesAndRuns)
+TEST(CheckpointSpec, RemovedCheckpointAfterWarmupKeyPointsAtCheckpointDir)
 {
-    SweepSpec spec = SweepSpec::fromString(R"({
-        "name": "speckey",
-        "warmupCycles": 2000,
-        "measureCycles": 5000,
-        "checkpointAfterWarmup": true,
-        "workloads": ["2_MIX"],
-        "engines": ["stream"],
-        "policies": ["1.8"]
-    })");
-    EXPECT_TRUE(spec.checkpointAfterWarmup);
-
-    SweepReport report = runSpec(spec);
-    ASSERT_EQ(report.results.size(), 1u);
-    EXPECT_GT(report.results[0].ipc, 0.0);
-    EXPECT_EQ(report.timing.warmupRuns, 1u);
+    // The in-memory-only sharing switch is gone: a spec still naming
+    // it must say what replaces it.
+    try {
+        SweepSpec::fromString(R"({
+            "name": "speckey", "measureCycles": 1000,
+            "checkpointAfterWarmup": true,
+            "workloads": ["2_MIX"], "policies": ["1.8"]
+        })");
+        FAIL() << "checkpointAfterWarmup was accepted";
+    } catch (const SpecError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("\"checkpointAfterWarmup\" was removed"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("--checkpoint-dir"), std::string::npos) << msg;
+    }
 }
 
 TEST(CheckpointSpec, BadCheckpointKeysRejected)
 {
-    EXPECT_THROW(SweepSpec::fromString(R"({
-        "name": "bad", "measureCycles": 1000,
-        "checkpointAfterWarmup": "yes",
-        "workloads": ["gzip"], "policies": ["1.8"]
-    })"),
-                 SpecError);
     EXPECT_THROW(SweepSpec::fromString(R"({
         "name": "bad", "measureCycles": 1000,
         "checkpointDir": "",

@@ -219,7 +219,7 @@ TEST(Corpus, EntryValidationCatchesSkew)
     // Version skew: the manifest pins a revision the file is not.
     {
         CorpusEntry skewed = m.entries[0];
-        skewed.traceVersion = traceFormatV1;
+        skewed.traceVersion = traceFormatVersion + 1;
         expectCorpusError([&] { validateCorpusEntry(m, skewed); },
                           "format version skew");
     }

@@ -8,6 +8,7 @@
  * order.
  */
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,11 +62,13 @@ TEST(Determinism, IdenticalSeedsBitIdenticalRegistryDumps)
 TEST(Determinism, BenchRecordIsByteReproducible)
 {
     // Warmup sharing on, with a duplicated point, so the record also
-    // carries a warmupReuse block with a restore in it.
+    // carries a warmupReuse block with a restore in it. Each record
+    // starts from an empty snapshot directory: a warm one would serve
+    // every warmup from disk and change the counts.
     SweepRequest req;
     req.warmupCycles = 1'500;
     req.measureCycles = 4'000;
-    req.reuseWarmup = true;
+    req.checkpointDir = ::testing::TempDir() + "det_ckpt";
     for (const char *wl : {"gzip", "gzip", "mcf"}) {
         GridPoint p;
         p.workload = wl;
@@ -76,6 +79,8 @@ TEST(Determinism, BenchRecordIsByteReproducible)
     }
 
     auto record = [&req] {
+        std::filesystem::remove_all(req.checkpointDir);
+        std::filesystem::create_directories(req.checkpointDir);
         SweepReport report = ExperimentRunner().run(req);
         std::ostringstream os;
         ExperimentRunner::writeJson(os, "det", report.results, {},

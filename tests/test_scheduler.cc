@@ -9,6 +9,7 @@
 
 #include <sched.h>
 
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <stdexcept>
@@ -179,7 +180,9 @@ TEST(Scheduler, SharedCacheWarmsAPopularConfigExactlyOnce)
     SweepScheduler scheduler(2, &cache);
 
     SweepRequest request = shortRequest("gzip", 1, 2'000, 6'000);
-    request.reuseWarmup = true;
+    request.checkpointDir = ::testing::TempDir() + "sched_shared";
+    std::filesystem::remove_all(request.checkpointDir);
+    std::filesystem::create_directories(request.checkpointDir);
     auto first = scheduler.submit(request, "first");
     auto second = scheduler.submit(request, "second");
     SweepReport r1 = scheduler.wait(first);

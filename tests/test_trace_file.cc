@@ -110,28 +110,53 @@ struct SmallTrace
     std::string path;
     std::string bytes;
     std::size_t nameLen = 0;
+    std::uint32_t blockRecords = 0;
 
     /** Offset of the u64 recordCount field. */
     std::size_t countOffset() const { return 10 + nameLen + 24; }
 
-    /** v2 only: offset of the extension header (codec byte). */
+    /** Offset of the extension header (codec byte). */
     std::size_t extOffset() const { return countOffset() + 8; }
 
-    /** v2 only: offset of the first block frame. */
+    /** Offset of the first block frame. */
     std::size_t firstFrameOffset() const { return extOffset() + 22; }
+
+    /** Raw codec only: file offset of record `i`. Every block before
+     *  it is full, and each block is an 8-byte frame plus payload. */
+    std::size_t
+    recordOffset(std::size_t i) const
+    {
+        const std::size_t n = blockRecords;
+        const std::size_t stride = 8 + n * 20;
+        return firstFrameOffset() + 8 + (i / n) * stride + (i % n) * 20;
+    }
 };
+
+/** Raw 4-record blocks: records sit at computable file offsets. */
+constexpr TraceWriteOptions smallRawBlocks{.codec = traceCodecRaw,
+                                           .blockRecords = 4};
 
 SmallTrace
 makeSmallTrace(const BenchmarkImage &img, std::size_t records = 4,
-               const TraceWriteOptions &options =
-                   TraceWriteOptions{.version = traceFormatV1})
+               const TraceWriteOptions &options = smallRawBlocks)
 {
     SmallTrace t;
     t.path = tempPath("small.trc");
     recordSynthetic(img, t.path, records, options);
     t.bytes = readFile(t.path);
     t.nameLen = img.profile.name.size();
+    t.blockRecords = options.blockRecords;
     return t;
+}
+
+/** Read every record of `path`, letting a decode error escape. */
+void
+readAll(const std::string &path)
+{
+    TraceReader r(path);
+    PackedTraceRecord rec;
+    while (r.next(rec)) {
+    }
 }
 
 /** Are two records the same correct-path instruction? */
@@ -289,7 +314,7 @@ TEST(TraceFile, BatchStopsShortOfACorruptRecord)
     BenchmarkImage img = gzipImage();
     SmallTrace t = makeSmallTrace(img, 150);
     std::string bytes = t.bytes;
-    const std::size_t info = t.countOffset() + 8 + 100 * 20 + 8;
+    const std::size_t info = t.recordOffset(100) + 8;
     bytes[info] = static_cast<char>(bytes[info] | 0x80);
     std::string path = tempPath("batch_corrupt.trc");
     writeFile(path, bytes);
@@ -517,7 +542,7 @@ TEST(TraceFile, MalformedBinaryInputsAreActionable)
         writeFile(t.path, bad);
         expectTraceError([&] { TraceReader r(t.path); }, "bad magic");
     }
-    // Version skew (v1 and v2 are both readable; v9 is not).
+    // Version skew (only version 2 is readable).
     {
         std::string bad = t.bytes;
         bad[6] = 9;
@@ -546,57 +571,63 @@ TEST(TraceFile, MalformedBinaryInputsAreActionable)
         expectTraceError([&] { TraceReader r(t.path); },
                          "overflows the header");
     }
-    // Record count promising more than the file holds.
+    // Record count promising more records than the blocks hold.
     {
         std::string bad = t.bytes;
         bad[t.countOffset()] = 99;
         writeFile(t.path, bad);
         expectTraceError([&] { TraceReader r(t.path); },
-                         "header promises 99 records");
+                         "blocks for 99 records");
     }
-    // Trailing garbage after the last record.
+    // Trailing garbage after the seek index.
     {
         writeFile(t.path, t.bytes + "xyz");
         expectTraceError([&] { TraceReader r(t.path); },
-                         "trailing bytes");
-    }
-    // Truncated mid-record (count stays, payload shrinks).
-    {
-        writeFile(t.path, t.bytes.substr(0, t.bytes.size() - 3));
-        expectTraceError([&] { TraceReader r(t.path); },
-                         "truncated or overflowing count");
+                         "truncated or corrupt index");
     }
     // Invalid op kind nibble in a record's info byte.
     {
         std::string bad = t.bytes;
-        bad[t.countOffset() + 8 + 8] = 0x0f;
+        bad[t.recordOffset(0) + 8] = 0x0f;
         writeFile(t.path, bad);
-        expectTraceError(
-            [&] {
-                TraceReader r(t.path);
-                PackedTraceRecord rec;
-                while (r.next(rec)) {
-                }
-            },
-            "invalid op kind 15");
+        expectTraceError([&] { readAll(t.path); }, "invalid op kind 15");
     }
     // Unknown flag bits (forward-format records).
     {
         std::string bad = t.bytes;
-        bad[t.countOffset() + 8 + 8] |= 0x40;
+        bad[t.recordOffset(0) + 8] |= 0x40;
         writeFile(t.path, bad);
-        expectTraceError(
-            [&] {
-                TraceReader r(t.path);
-                PackedTraceRecord rec;
-                while (r.next(rec)) {
-                }
-            },
-            "unknown flag bits");
+        expectTraceError([&] { readAll(t.path); }, "unknown flag bits");
     }
     // Nonexistent file.
     expectTraceError([&] { TraceReader r(tempPath("nope.trc")); },
                      "cannot open");
+}
+
+TEST(TraceFile, FlatVersion1FileFailsAtOpen)
+{
+    // The retired flat layout: the fixed header, then packed records
+    // with no block extension or index. Opening it must name the
+    // version and say how to get a readable file.
+    std::string bytes(traceMagic, sizeof(traceMagic));
+    auto put = [&bytes](std::uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+    put(1, 2); // version
+    put(4, 2); // name length
+    bytes += "gzip";
+
+    put(0, 8);          // seed
+    put(0x400000, 8);   // codeBase
+    put(0x40000000, 8); // dataBase
+    put(1, 8);          // one record follows
+    bytes += std::string(traceRecordBytes, '\0');
+    std::string path = tempPath("flat_v1.trc");
+    writeFile(path, bytes);
+
+    expectTraceError([&] { TraceReader r(path); }, "format version 1,");
+    expectTraceError([&] { readTraceHeader(path); }, "re-record");
 }
 
 TEST(TraceFile, MalformedV2InputsAreActionable)
@@ -604,9 +635,7 @@ TEST(TraceFile, MalformedV2InputsAreActionable)
     BenchmarkImage img = gzipImage();
     // Tiny blocks (2 records) with the raw codec keep the byte
     // surgery below position-independent.
-    TraceWriteOptions v2raw{.version = traceFormatV2,
-                            .codec = traceCodecRaw,
-                            .blockRecords = 2};
+    TraceWriteOptions v2raw{.codec = traceCodecRaw, .blockRecords = 2};
     SmallTrace t = makeSmallTrace(img, 5, v2raw);
 
     // Unknown codec byte.
@@ -658,8 +687,7 @@ TEST(TraceFile, MalformedV2InputsAreActionable)
     }
     // Corrupt deflate payload (when this build has zlib).
     if (traceCodecAvailable(traceCodecDeflate)) {
-        TraceWriteOptions v2z{.version = traceFormatV2,
-                              .codec = traceCodecDeflate,
+        TraceWriteOptions v2z{.codec = traceCodecDeflate,
                               .blockRecords = 2};
         SmallTrace z = makeSmallTrace(img, 5, v2z);
         std::string bad = z.bytes;
@@ -681,7 +709,7 @@ TEST(TraceFile, TraceErrorsNameFileAndByteOffset)
     // Every malformed-input error must name the file and the byte
     // offset of the offending structure.
     BenchmarkImage img = gzipImage();
-    SmallTrace t = makeSmallTrace(img);
+    SmallTrace t = makeSmallTrace(img, 8);
 
     std::string bad = t.bytes;
     bad[t.countOffset()] = 99;
@@ -695,21 +723,56 @@ TEST(TraceFile, TraceErrorsNameFileAndByteOffset)
         EXPECT_NE(msg.find("(byte "), std::string::npos) << msg;
     }
 
-    // A mid-payload record error reports the record's own offset.
+    // A record error in a raw block reports the record's own offset,
+    // not its block's: record 6 is the third record of block 1.
     bad = t.bytes;
-    bad[t.countOffset() + 8 + 2 * 20 + 8] |= 0x40;
+    const std::size_t rec_off = t.recordOffset(6);
+    ASSERT_EQ(rec_off, 204u);
+    bad[rec_off + 8] |= 0x40;
     writeFile(t.path, bad);
     try {
-        TraceReader r(t.path);
-        PackedTraceRecord rec;
-        while (r.next(rec)) {
-        }
+        readAll(t.path);
         FAIL() << "corrupt record went undetected";
     } catch (const TraceFileError &e) {
         const std::string msg = e.what();
-        const std::size_t rec_off = t.countOffset() + 8 + 2 * 20;
         EXPECT_NE(msg.find(t.path), std::string::npos) << msg;
-        EXPECT_NE(msg.find(csprintf("(byte %zu)", rec_off)),
+        EXPECT_NE(msg.find("(byte 204): record 6 "), std::string::npos)
+            << msg;
+    }
+}
+
+TEST(TraceFile, DeflatedRecordErrorsNameBlockAndIndex)
+{
+    // A deflated record has no file offset: its error names the
+    // block and the record's index in it instead.
+    if (!traceCodecAvailable(traceCodecDeflate))
+        GTEST_SKIP() << "this build has no zlib";
+    BenchmarkImage img = gzipImage();
+    const std::string path = tempPath("bad_deflate.trc");
+    std::vector<PackedTraceRecord> recs;
+    {
+        TraceReader src(makeSmallTrace(img, 8).path);
+        PackedTraceRecord rec;
+        while (src.next(rec))
+            recs.push_back(rec);
+    }
+    recs[6].kind = static_cast<OpClass>(0x0f); // no such op kind
+    TraceWriteOptions deflate{.codec = traceCodecDeflate,
+                              .blockRecords = 4};
+    TraceWriter w(path, headerFor(img), deflate);
+    for (const PackedTraceRecord &rec : recs)
+        w.append(rec);
+    w.close();
+
+    try {
+        readAll(path);
+        FAIL() << "corrupt record went undetected";
+    } catch (const TraceFileError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(path + " (block 1, record 2 of the block): "),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("record 6 has invalid op kind 15"),
                   std::string::npos)
             << msg;
     }
@@ -719,13 +782,11 @@ TEST(TraceFile, SkipToEdges)
 {
     BenchmarkImage img = gzipImage();
 
-    // 10 records in 2-record blocks (v2) and flat (v1).
-    for (int version = 1; version <= 2; ++version) {
-        TraceWriteOptions opt;
-        opt.version = static_cast<std::uint16_t>(version);
-        opt.blockRecords = 2;
+    // 10 records in 2-record blocks, stored raw and deflated.
+    for (std::uint8_t codec : {traceCodecRaw, traceCodecAuto}) {
+        TraceWriteOptions opt{.codec = codec, .blockRecords = 2};
         std::string path =
-            tempPath(csprintf("skip_v%d.trc", version));
+            tempPath(csprintf("skip_%s.trc", traceCodecName(codec)));
         auto originals = recordSynthetic(img, path, 10, opt);
 
         TraceReader seq(path);
@@ -762,17 +823,16 @@ TEST(TraceFile, SkipToEdges)
     }
 }
 
-TEST(TraceFile, V1AndV2ReplaysAreBitIdentical)
+TEST(TraceFile, CodecsAndBlockSizesReplayBitIdentical)
 {
-    // The same logical trace stored in either revision (and either
-    // codec) must replay to identical simulation results.
+    // The same logical trace stored raw or deflated, in full or odd
+    // block sizes, must replay to identical simulation results.
     std::string base = tempPath("ident.trc");
 
     GridPoint record_point{"gzip", EngineKind::GshareBtb, 1, 8};
-    record_point.recordPath = base; // written as v2
+    record_point.recordPath = base; // default codec and block size
     runPoint(1000, 4000, 0, record_point);
 
-    // Transcode the v2 capture to v1 (and to v2/raw).
     auto transcode = [&](const std::string &dst,
                          const TraceWriteOptions &opt) {
         TraceReader src(base);
@@ -782,24 +842,26 @@ TEST(TraceFile, V1AndV2ReplaysAreBitIdentical)
             dst_w.append(rec);
         dst_w.close();
     };
-    std::string v1 = tempPath("ident_v1.trc");
-    std::string v2raw = tempPath("ident_v2raw.trc");
-    transcode(v1, TraceWriteOptions{.version = traceFormatV1});
-    transcode(v2raw, TraceWriteOptions{.version = traceFormatV2,
-                                       .codec = traceCodecRaw,
-                                       .blockRecords = 7});
+    std::vector<std::string> files;
+    for (std::uint32_t block : {traceBlockRecordsDefault, 7u}) {
+        for (std::uint8_t codec : {traceCodecRaw, traceCodecDeflate}) {
+            if (!traceCodecAvailable(codec))
+                continue;
+            TraceWriteOptions opt{.codec = codec, .blockRecords = block};
+            files.push_back(tempPath(csprintf("id%zu.trc", files.size())));
+            transcode(files.back(), opt);
+        }
+    }
+    ASSERT_GE(files.size(), 2u);
 
     auto replay = [&](const std::string &path) {
         GridPoint p{"trace:" + path, EngineKind::GshareBtb, 1, 8};
         return runPoint(1000, 4000, 0, p);
     };
-    ExperimentResult from_v2 = replay(base);
-    ExperimentResult from_v1 = replay(v1);
-    ExperimentResult from_raw = replay(v2raw);
-
-    EXPECT_GT(from_v2.ipc, 0.0);
-    EXPECT_EQ(from_v2.statsJson, from_v1.statsJson);
-    EXPECT_EQ(from_v2.statsJson, from_raw.statsJson);
+    ExperimentResult original = replay(base);
+    EXPECT_GT(original.ipc, 0.0);
+    for (const std::string &file : files)
+        EXPECT_EQ(replay(file).statsJson, original.statsJson) << file;
 }
 
 TEST(TraceFile, CheckpointRestoreMidBlockInV2Stream)

@@ -493,7 +493,7 @@ def check_file(path, args):
     if args.require_warmup_reuse and "warmupReuse" not in doc:
         raise CheckFailure(
             "record has no 'warmupReuse' block (was the sweep run with "
-            "--checkpoint-warmup / \"checkpointAfterWarmup\"?)"
+            "--checkpoint-dir?)"
         )
     if "warmupReuse" in doc:
         check_warmup_reuse(doc["warmupReuse"], len(results))

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Golden-stats regression check.
 
-Re-runs an experiment spec through smtsim and diffs the produced
-BENCH record's IPFC/IPC against a committed golden record bit-exactly
+Re-runs an experiment spec through smtsim, validates the produced
+BENCH record with check_bench.py (schema, per-thread and cycle-skip
+sums, claim verdicts, and the grid cross-checked against the spec),
+and diffs its IPFC/IPC against a committed golden record bit-exactly
 (the simulator is deterministic; any drift is a behaviour change that
 must be explicit). Run with --update to regenerate the golden file
 after an intentional change:
@@ -19,6 +21,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+import check_bench
 
 
 def result_key(r):
@@ -83,6 +87,16 @@ def main():
                 f"expected exactly one BENCH record, got {produced}"
             )
         produced_path = os.path.join(tmp, produced[0])
+        try:
+            summary = check_bench.check_file(
+                produced_path,
+                argparse.Namespace(
+                    spec=args.spec, min_results=0, require_warmup_reuse=False
+                ),
+            )
+        except check_bench.CheckFailure as e:
+            raise SystemExit(f"check_bench FAIL {produced[0]}: {e}")
+        print(f"check_bench OK {produced[0]}: {summary}")
 
         if args.update:
             os.makedirs(os.path.dirname(args.golden), exist_ok=True)

@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
+#include "util/flag_value.hh"
 #include "workload/corpus.hh"
 #include "workload/profiles.hh"
 #include "workload/program_builder.hh"
@@ -43,12 +45,11 @@ usage(std::FILE *out)
         "  --seed N       image-construction seed (default 0)\n"
         "  --code-base A  code base address (default 0x400000)\n"
         "  --data-base A  data base address (default 0x40000000)\n"
-        "  --format V     binary format: 1 or 2 (default 2)\n"
-        "  --codec C      v2 block codec: raw, deflate or auto\n"
+        "  --codec C      block codec: raw, deflate or auto\n"
         "                 (default auto: deflate when built with\n"
         "                 zlib, raw otherwise)\n"
         "  --block-records N\n"
-        "                 v2 records per block (default %u)\n"
+        "                 records per block (default %u)\n"
         "  --manifest P   append the trace to corpus manifest P,\n"
         "                 creating it if needed\n"
         "  --list         list the benchmark profiles and exit\n"
@@ -56,18 +57,16 @@ usage(std::FILE *out)
         traceBlockRecordsDefault);
 }
 
+/** Parse a numeric flag value; addresses also take 0x-hex. */
 std::uint64_t
-parseNum(const char *flag, const char *text)
+parseNum(const char *flag, const char *text, bool allow_hex = false)
 {
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr,
-                     "tracegen: %s expects a number, got \"%s\"\n",
-                     flag, text);
+    try {
+        return parseFlagValue(flag, text, allow_hex);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "tracegen: %s\n", e.what());
         std::exit(1);
     }
-    return v;
 }
 
 /**
@@ -148,19 +147,9 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             seed = parseNum("--seed", next());
         } else if (arg == "--code-base") {
-            code_base = parseNum("--code-base", next());
+            code_base = parseNum("--code-base", next(), true);
         } else if (arg == "--data-base") {
-            data_base = parseNum("--data-base", next());
-        } else if (arg == "--format") {
-            std::uint64_t v = parseNum("--format", next());
-            if (v != traceFormatV1 && v != traceFormatV2) {
-                std::fprintf(stderr,
-                             "tracegen: --format expects 1 or 2, "
-                             "got %llu\n",
-                             (unsigned long long)v);
-                return 1;
-            }
-            options.version = static_cast<std::uint16_t>(v);
+            data_base = parseNum("--data-base", next(), true);
         } else if (arg == "--codec") {
             std::string c = next();
             if (c == "raw") {
