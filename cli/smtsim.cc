@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bpred/engine_registry.hh"
-#include "sim/checkpoint.hh"
 #include "sim/journal.hh"
 #include "sim/scheduler.hh"
 #include "sim/simulator.hh"
@@ -48,8 +47,6 @@ struct Options
     std::string outDir;
     std::string recordPath;
     std::optional<Cycle> recordPad;
-    std::string saveCheckpointPath;
-    std::string restoreCheckpointPath;
     std::string checkpointDir;
     bool noCycleSkip = false;
     std::optional<Cycle> warmup;
@@ -95,14 +92,6 @@ usage(std::FILE *out)
         "                 with a {\"trace\": PATH} workload.\n"
         "  --record-pad N capture N extra post-measurement cycles\n"
         "                 of records as a replay safety margin\n"
-        "  --save-checkpoint PATH\n"
-        "                 run the warmup, save the full simulator\n"
-        "                 state to PATH, then continue measurement\n"
-        "                 (the spec must expand to one grid point)\n"
-        "  --restore-checkpoint PATH\n"
-        "                 skip the warmup by restoring PATH (saved\n"
-        "                 under the identical configuration; the\n"
-        "                 spec must expand to one grid point)\n"
         "  --checkpoint-dir DIR\n"
         "                 run each unique warmup once and restore\n"
         "                 its snapshot for the other grid points\n"
@@ -267,13 +256,11 @@ runOne(const Options &opt, const std::string &arg)
         ensureWritableDir(benchRecordDir(opt.outDir));
 
     if (spec.type == SpecType::Characteristics) {
-        if (!opt.recordPath.empty() ||
-            !opt.saveCheckpointPath.empty() ||
-            !opt.restoreCheckpointPath.empty()) {
+        if (!opt.recordPath.empty()) {
             std::fprintf(stderr,
-                         "smtsim: --record and checkpoint options "
-                         "do not apply to a characteristics spec "
-                         "(\"%s\" runs no simulation)\n",
+                         "smtsim: --record does not apply to a "
+                         "characteristics spec (\"%s\" runs no "
+                         "simulation)\n",
                          spec.name.c_str());
             return 1;
         }
@@ -316,32 +303,18 @@ runOne(const Options &opt, const std::string &arg)
         return 0;
     }
 
-    auto needsOnePoint = [&](const char *flag) {
-        if (points.size() == 1)
-            return true;
-        std::fprintf(stderr,
-                     "smtsim: %s needs a spec that expands to "
-                     "exactly one grid point, but \"%s\" expands "
-                     "to %zu — narrow the spec or run each point "
-                     "separately\n",
-                     flag, spec.name.c_str(), points.size());
-        return false;
-    };
     if (!opt.recordPath.empty()) {
-        if (!needsOnePoint("--record"))
+        if (points.size() != 1) {
+            std::fprintf(stderr,
+                         "smtsim: --record needs a spec that expands "
+                         "to exactly one grid point, but \"%s\" "
+                         "expands to %zu — narrow the spec or record "
+                         "each point separately\n",
+                         spec.name.c_str(), points.size());
             return 1;
+        }
         points[0].recordPath = opt.recordPath;
         points[0].recordPadCycles = opt.recordPad.value_or(0);
-    }
-    if (!opt.saveCheckpointPath.empty()) {
-        if (!needsOnePoint("--save-checkpoint"))
-            return 1;
-        points[0].saveCheckpointPath = opt.saveCheckpointPath;
-    }
-    if (!opt.restoreCheckpointPath.empty()) {
-        if (!needsOnePoint("--restore-checkpoint"))
-            return 1;
-        points[0].restoreCheckpointPath = opt.restoreCheckpointPath;
     }
 
     SweepRequest request = spec.makeRequest();
@@ -356,11 +329,10 @@ runOne(const Options &opt, const std::string &arg)
     // A checkpoint directory also makes the sweep resumable: every
     // finished point is journaled there, and a re-run skips the
     // points an earlier (killed) run already journaled. Runs that
-    // write a trace or checkpoint file are not journaled — skipping
-    // their point would skip the file.
+    // write a trace file are not journaled — skipping their point
+    // would skip the file.
     SweepSubmitOptions submit;
-    if (!request.checkpointDir.empty() && opt.recordPath.empty() &&
-        opt.saveCheckpointPath.empty()) {
+    if (!request.checkpointDir.empty() && opt.recordPath.empty()) {
         submit.journal = std::make_shared<SweepJournal>(
             request.checkpointDir, spec.benchName(), request);
         submit.precompleted = submit.journal->completed();
@@ -457,10 +429,6 @@ main(int argc, char **argv)
             opt.recordPath = next();
         } else if (arg == "--record-pad") {
             opt.recordPad = parseCount("--record-pad", next());
-        } else if (arg == "--save-checkpoint") {
-            opt.saveCheckpointPath = next();
-        } else if (arg == "--restore-checkpoint") {
-            opt.restoreCheckpointPath = next();
         } else if (arg == "--checkpoint-dir") {
             opt.checkpointDir = next();
         } else if (arg == "--no-cycle-skip") {
@@ -491,8 +459,8 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Output-path flags apply once per spec run: with several specs
-    // each run would silently overwrite the previous spec's file.
+    // --record applies once per spec run: with several specs each
+    // run would silently overwrite the previous spec's file.
     if (opt.specs.size() > 1 && !opt.recordPath.empty()) {
         std::fprintf(stderr,
                      "smtsim: --record with %zu specs would make "
@@ -500,35 +468,6 @@ main(int argc, char **argv)
                      "per --record invocation (or record each spec "
                      "to a distinct path)\n",
                      opt.specs.size(), opt.recordPath.c_str());
-        return 1;
-    }
-    if (opt.specs.size() > 1 && !opt.saveCheckpointPath.empty()) {
-        std::fprintf(stderr,
-                     "smtsim: --save-checkpoint with %zu specs "
-                     "would make each spec overwrite \"%s\" — pass "
-                     "one spec per --save-checkpoint invocation\n",
-                     opt.specs.size(),
-                     opt.saveCheckpointPath.c_str());
-        return 1;
-    }
-    if (!opt.recordPath.empty() &&
-        !opt.restoreCheckpointPath.empty()) {
-        std::fprintf(stderr,
-                     "smtsim: --record cannot be combined with "
-                     "--restore-checkpoint — the captured trace "
-                     "would silently miss every record consumed "
-                     "before the snapshot; record with a full run "
-                     "instead\n");
-        return 1;
-    }
-    if (!opt.saveCheckpointPath.empty() &&
-        !opt.restoreCheckpointPath.empty()) {
-        std::fprintf(stderr,
-                     "smtsim: --save-checkpoint cannot be combined "
-                     "with --restore-checkpoint — a restored run "
-                     "skips the warmup, so there is no new "
-                     "post-warmup state to save (the restored "
-                     "checkpoint already is that state)\n");
         return 1;
     }
 
@@ -541,9 +480,6 @@ main(int argc, char **argv)
             std::fprintf(stderr, "smtsim: %s\n", e.what());
             return 2;
         } catch (const TraceFileError &e) {
-            std::fprintf(stderr, "smtsim: %s\n", e.what());
-            return 2;
-        } catch (const CheckpointError &e) {
             std::fprintf(stderr, "smtsim: %s\n", e.what());
             return 2;
         } catch (const JournalError &e) {

@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <fstream>
-#include <ostream>
 
 #include "util/logging.hh"
 
@@ -15,6 +13,13 @@ namespace
 
 /** Cap on serialized string lengths (names, config keys). */
 constexpr std::uint32_t maxStringBytes = 1u << 20;
+
+/** Offset of the backpatched component count (magic, version,
+ *  reserved precede it). */
+constexpr std::size_t countOffset = sizeof(checkpointMagic) + 2 + 2;
+
+/** Checksum plus trailer: the bytes after the last section. */
+constexpr std::size_t sealBytes = 8 + sizeof(checkpointTrailer);
 
 void
 putLe(unsigned char *out, std::uint64_t v, unsigned bytes)
@@ -34,18 +39,41 @@ getLe(const unsigned char *in, unsigned bytes)
 
 } // namespace
 
+std::uint64_t
+checkpointChecksum(std::string_view bytes)
+{
+    constexpr std::uint64_t k1 = 0x87c37b91114253d5ULL;
+    constexpr std::uint64_t k2 = 0x4cf5ad432745937fULL;
+    const auto *p = reinterpret_cast<const unsigned char *>(bytes.data());
+    const std::size_t n = bytes.size();
+    // Each step is a bijection of h for a fixed word and of the word
+    // for a fixed h, so one changed word always changes the result.
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ n;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        h = std::rotl(h ^ (getLe(p + i, 8) * k1), 29) * k2;
+    if (i < n)
+        h = std::rotl(h ^ (getLe(p + i, unsigned(n - i)) * k1), 29) * k2;
+    // MurmurHash3's fmix64 finalizer spreads the last words' bits.
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
+
 // ---------------------------------------------------------------------
 // CheckpointWriter
 // ---------------------------------------------------------------------
 
-CheckpointWriter::CheckpointWriter(std::ostream &os, std::string context,
+CheckpointWriter::CheckpointWriter(std::string context,
                                    const std::string &config_key)
-    : os(os), context(std::move(context))
+    : context(std::move(context))
 {
     raw(checkpointMagic, sizeof(checkpointMagic));
     u16(checkpointFormatVersion);
     u16(0); // reserved
-    countPos = os.tellp();
     u32(0); // component count, backpatched by finish()
     str(config_key);
 }
@@ -60,23 +88,20 @@ CheckpointWriter::fail(const std::string &what) const
 void
 CheckpointWriter::raw(const void *data, std::size_t n)
 {
-    os.write(static_cast<const char *>(data),
-             static_cast<std::streamsize>(n));
-    if (!os)
-        fail("write failed (disk full or file closed?)");
+    if (finished)
+        fail("write after finish()");
+    bytes.append(static_cast<const char *>(data), n);
 }
 
 void
 CheckpointWriter::begin(const std::string &component)
 {
-    if (finished)
-        fail("begin() after finish()");
     if (inSection)
         fail(csprintf("begin(\"%s\") while section \"%s\" is open",
                       component.c_str(), sectionName.c_str()));
     str(component);
     sectionName = component;
-    sectionSizePos = os.tellp();
+    sectionSizePos = bytes.size();
     u64(0); // payload size, backpatched by end()
     inSection = true;
 }
@@ -86,34 +111,25 @@ CheckpointWriter::end()
 {
     if (!inSection)
         fail("end() with no open section");
-    std::streampos here = os.tellp();
-    std::uint64_t payload = static_cast<std::uint64_t>(
-        here - sectionSizePos - std::streamoff(8));
-    os.seekp(sectionSizePos);
-    u64(payload);
-    os.seekp(here);
-    if (!os)
-        fail("seek failed while patching a section size");
+    putLe(reinterpret_cast<unsigned char *>(&bytes[sectionSizePos]),
+          bytes.size() - sectionSizePos - 8, 8);
     inSection = false;
     ++components;
 }
 
-void
+std::string
 CheckpointWriter::finish()
 {
     if (inSection)
         fail("finish() with an open section");
     if (finished)
-        return;
+        fail("finish() called twice");
+    putLe(reinterpret_cast<unsigned char *>(&bytes[countOffset]),
+          components, 4);
+    u64(checkpointChecksum(bytes));
     raw(checkpointTrailer, sizeof(checkpointTrailer));
-    std::streampos here = os.tellp();
-    os.seekp(countPos);
-    u32(components);
-    os.seekp(here);
-    os.flush();
-    if (!os)
-        fail("flush failed (disk full?)");
     finished = true;
+    return std::move(bytes);
 }
 
 void
@@ -168,28 +184,18 @@ CheckpointWriter::str(const std::string &s)
 // CheckpointReader
 // ---------------------------------------------------------------------
 
-CheckpointReader::CheckpointReader(std::istream &is, std::string context)
-    : is(is), context(std::move(context))
+CheckpointReader::CheckpointReader(std::string_view bytes,
+                                   std::string context)
+    : bytes(bytes), context(std::move(context)), limit(bytes.size())
 {
-    // Total stream length: the hard upper bound for every declared
-    // section size, so forged sizes cannot authorize huge
-    // allocations downstream (checkCount validates against them).
-    std::streampos start = is.tellg();
-    is.seekg(0, std::ios::end);
-    std::streampos end_pos = is.tellg();
-    is.seekg(start);
-    if (!is || end_pos < start)
-        fail("cannot determine the file size (unseekable stream?)");
-    streamBytes = static_cast<std::uint64_t>(end_pos - start);
-
-    char magic[sizeof(checkpointMagic)];
-    is.read(magic, sizeof(magic));
-    if (!is || is.gcount() != sizeof(magic))
-        fail("file too short for the checkpoint magic (is this a "
-             "checkpoint file?)");
-    if (std::memcmp(magic, checkpointMagic, sizeof(magic)) != 0)
+    if (bytes.size() < sizeof(checkpointMagic))
+        fail("too short for the checkpoint magic (is this a "
+             "checkpoint?)");
+    if (std::memcmp(bytes.data(), checkpointMagic,
+                    sizeof(checkpointMagic)) != 0)
         fail("bad magic (expected \"SMTCKPT\"); this is not a "
              "checkpoint file");
+    pos = sizeof(checkpointMagic);
 
     std::uint16_t version = u16();
     if (version != checkpointFormatVersion)
@@ -197,6 +203,24 @@ CheckpointReader::CheckpointReader(std::istream &is, std::string context)
                       "version %u — re-save the checkpoint with this "
                       "build",
                       version, checkpointFormatVersion));
+
+    // Integrity before content: no section is parsed from bytes the
+    // checksum does not vouch for.
+    if (bytes.size() < pos + sealBytes ||
+        std::memcmp(bytes.data() + bytes.size() -
+                        sizeof(checkpointTrailer),
+                    checkpointTrailer, sizeof(checkpointTrailer)) != 0)
+        fail("missing end trailer (truncated checkpoint, or trailing "
+             "bytes after the trailer)");
+    limit = bytes.size() - sealBytes;
+    const std::uint64_t stored = getLe(
+        reinterpret_cast<const unsigned char *>(bytes.data() + limit),
+        8);
+    if (checkpointChecksum(bytes.substr(0, limit)) != stored)
+        fail("checksum mismatch: the payload is corrupt (damaged or "
+             "partially overwritten); delete it and the next run "
+             "re-creates it");
+
     std::uint16_t reserved = u16();
     if (reserved != 0)
         fail(csprintf("reserved header field is %u, expected 0 "
@@ -232,10 +256,10 @@ CheckpointReader::raw(void *data, std::size_t n)
                           (unsigned long long)sectionRemaining));
         sectionRemaining -= n;
     }
-    is.read(static_cast<char *>(data),
-            static_cast<std::streamsize>(n));
-    if (!is || is.gcount() != static_cast<std::streamsize>(n))
-        fail("unexpected end of file (truncated checkpoint)");
+    if (n > limit - pos)
+        fail("unexpected end of data (truncated checkpoint)");
+    std::memcpy(data, bytes.data() + pos, n);
+    pos += n;
 }
 
 void
@@ -257,13 +281,12 @@ CheckpointReader::begin(const std::string &component)
                       component.c_str(), name.c_str()));
     sectionName = name;
     sectionRemaining = u64();
-    if (sectionRemaining > streamBytes)
+    if (sectionRemaining > limit - pos)
         fail(csprintf("section \"%s\" declares %llu payload bytes "
-                      "but the whole file holds %llu (corrupt "
-                      "section size)",
+                      "but only %zu remain (corrupt section size)",
                       name.c_str(),
                       (unsigned long long)sectionRemaining,
-                      (unsigned long long)streamBytes));
+                      limit - pos));
     inSection = true;
 }
 
@@ -291,16 +314,10 @@ CheckpointReader::finish()
         fail(csprintf("consumed %u of the %u declared components "
                       "(component-count mismatch)",
                       consumedCount, declaredCount));
-    char trailer[sizeof(checkpointTrailer)];
-    is.read(trailer, sizeof(trailer));
-    if (!is || is.gcount() != sizeof(trailer))
-        fail("missing end trailer (truncated checkpoint)");
-    if (std::memcmp(trailer, checkpointTrailer, sizeof(trailer)) != 0)
-        fail("corrupt end trailer");
-    is.peek();
-    if (!is.eof())
-        fail("trailing bytes after the end trailer (corrupt or "
-             "concatenated file)");
+    if (pos != limit)
+        fail(csprintf("%zu unread bytes after the last component "
+                      "(corrupt section layout)",
+                      limit - pos));
 }
 
 std::uint8_t
@@ -387,28 +404,5 @@ checkpointReadOpClass(CheckpointReader &r)
                         v, numOpClasses));
     return static_cast<OpClass>(v);
 }
-
-// ---------------------------------------------------------------------
-// CheckpointFileReader
-// ---------------------------------------------------------------------
-
-struct CheckpointFileReader::Impl
-{
-    std::ifstream is;
-};
-
-CheckpointFileReader::CheckpointFileReader(const std::string &path)
-    : impl(std::make_unique<Impl>())
-{
-    impl->is.open(path, std::ios::binary);
-    if (!impl->is)
-        throw CheckpointError(csprintf(
-            "%s: cannot open checkpoint file (does it exist and is "
-            "it readable?)",
-            path.c_str()));
-    r = std::make_unique<CheckpointReader>(impl->is, path);
-}
-
-CheckpointFileReader::~CheckpointFileReader() = default;
 
 } // namespace smt

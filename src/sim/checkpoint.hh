@@ -15,22 +15,24 @@
  *             configuration the state was captured under; restore
  *             refuses a mismatching target configuration.
  *   sections  count x { name string, u64 payloadBytes, payload }
+ *   checksum  u64  checkpointChecksum of every byte before it
  *   trailer   "SMTCKEND"                        (8 bytes)
  *
- * Components serialize themselves through save(CheckpointWriter&) /
- * restore(CheckpointReader&) hooks; the writer/reader own all byte
- * encoding, bounds checking and error reporting, so component code is
- * a flat list of typed puts/gets.
+ * A checkpoint is a byte string: the writer builds one in memory and
+ * the reader parses one, verifying the checksum before it reads any
+ * section. Components serialize themselves through
+ * save(CheckpointWriter&) / restore(CheckpointReader&) hooks; the
+ * writer/reader own all byte encoding, bounds checking and error
+ * reporting, so component code is a flat list of typed puts/gets.
  */
 
 #ifndef SMTFETCH_SIM_CHECKPOINT_HH
 #define SMTFETCH_SIM_CHECKPOINT_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "isa/opcode.hh"
 #include "util/types.hh"
@@ -58,9 +60,9 @@ class CheckpointError : public std::runtime_error
  * checkpoint section tags ("engine.gshare", ...) from the engine
  * registry (older checkpoints fail restore with a re-save-it error);
  * v5 appended the per-thread access/miss attribution arrays to every
- * cache payload.
+ * cache payload; v6 added the checksum before the trailer.
  */
-constexpr std::uint16_t checkpointFormatVersion = 5;
+constexpr std::uint16_t checkpointFormatVersion = 6;
 
 /** Binary file magic ("SMTCKPT" + NUL). */
 constexpr char checkpointMagic[8] = {'S', 'M', 'T', 'C',
@@ -71,24 +73,28 @@ constexpr char checkpointTrailer[8] = {'S', 'M', 'T', 'C',
                                        'K', 'E', 'N', 'D'};
 
 /**
- * Streaming checkpoint serializer over any seekable binary ostream
- * (file or string buffer). Sections must be strictly sequential:
- * begin(name), typed puts, end(); finish() backpatches the component
- * count and writes the trailer. Any I/O failure is a CheckpointError
- * naming the destination.
+ * The format's integrity hash: a 64-bit word-at-a-time mix, cheap
+ * next to a restore (snapshots run to megabytes), whose every step
+ * is a bijection, so any change confined to one 8-byte word is
+ * always detected.
+ */
+std::uint64_t checkpointChecksum(std::string_view bytes);
+
+/**
+ * Checkpoint serializer building the checkpoint bytes in memory.
+ * Sections must be strictly sequential: begin(name), typed puts,
+ * end(); finish() backpatches the component count, seals the bytes
+ * with the checksum and trailer and hands them over.
  */
 class CheckpointWriter
 {
   public:
     /**
-     * @param os Seekable binary output stream (must outlive the
-     *        writer until finish()).
-     * @param context Destination name for error messages (file path).
+     * @param context Destination name for error messages.
      * @param config_key Warmup-relevant configuration descriptor the
      *        reader will verify against its own configuration.
      */
-    CheckpointWriter(std::ostream &os, std::string context,
-                     const std::string &config_key);
+    CheckpointWriter(std::string context, const std::string &config_key);
 
     /** Open the next component section. */
     void begin(const std::string &component);
@@ -108,8 +114,10 @@ class CheckpointWriter
     void str(const std::string &s);
     /// @}
 
-    /** Write the trailer and backpatch the component count. */
-    void finish();
+    /** Backpatch the component count, append the checksum and
+     *  trailer and return the finished checkpoint. The writer is
+     *  spent afterwards. */
+    std::string finish();
 
     std::uint32_t componentsWritten() const { return components; }
 
@@ -118,30 +126,30 @@ class CheckpointWriter
   private:
     void raw(const void *data, std::size_t n);
 
-    std::ostream &os;
     std::string context;
+    std::string bytes;
     std::uint32_t components = 0;
-    std::streampos countPos;
-    std::streampos sectionSizePos = -1;
+    std::size_t sectionSizePos = 0;
     std::string sectionName;
     bool inSection = false;
     bool finished = false;
 };
 
 /**
- * Streaming checkpoint decoder. The constructor validates magic,
- * version and the header; sections are consumed strictly in the order
- * they were written, and end() verifies the section was consumed
- * exactly. Every corruption is a CheckpointError, never UB.
+ * Checkpoint decoder over a byte string. The constructor validates
+ * magic, version, trailer and checksum, then the header; sections are
+ * consumed strictly in the order they were written, and end()
+ * verifies the section was consumed exactly. Every corruption is a
+ * CheckpointError naming the source, never UB.
  */
 class CheckpointReader
 {
   public:
     /**
-     * @param is Binary input stream positioned at the start.
+     * @param bytes The whole checkpoint; must outlive the reader.
      * @param context Source name for error messages (file path).
      */
-    CheckpointReader(std::istream &is, std::string context);
+    CheckpointReader(std::string_view bytes, std::string context);
 
     /** The configuration descriptor the checkpoint was saved under. */
     const std::string &configKey() const { return key; }
@@ -179,7 +187,7 @@ class CheckpointReader
     std::uint64_t checkCount(std::uint64_t n, std::size_t elem_bytes,
                              const char *what);
 
-    /** Verify all sections were consumed and the trailer is intact. */
+    /** Verify all sections were consumed, up to the checksum. */
     void finish();
 
     [[noreturn]] void fail(const std::string &what) const;
@@ -187,10 +195,11 @@ class CheckpointReader
   private:
     void raw(void *data, std::size_t n);
 
-    std::istream &is;
+    std::string_view bytes;
     std::string context;
     std::string key;
-    std::uint64_t streamBytes = 0;
+    std::size_t pos = 0;   //!< next byte to read
+    std::size_t limit = 0; //!< end of the readable bytes
     std::uint32_t declaredCount = 0;
     std::uint32_t consumedCount = 0;
     std::uint64_t sectionRemaining = 0;
@@ -200,30 +209,6 @@ class CheckpointReader
 
 /** Decode a serialized OpClass byte, failing on out-of-range values. */
 OpClass checkpointReadOpClass(CheckpointReader &r);
-
-/**
- * Convenience file-backed reader: opens the path and keeps the stream
- * alive for the lifetime of the object. CheckpointError when the file
- * cannot be opened.
- */
-class CheckpointFileReader
-{
-  public:
-    explicit CheckpointFileReader(const std::string &path);
-    ~CheckpointFileReader();
-
-    CheckpointFileReader(const CheckpointFileReader &) = delete;
-    CheckpointFileReader &operator=(const CheckpointFileReader &) =
-        delete;
-
-    CheckpointReader &reader() { return *r; }
-
-  private:
-    /** Holds the ifstream (kept out of this header via iosfwd). */
-    struct Impl;
-    std::unique_ptr<Impl> impl;
-    std::unique_ptr<CheckpointReader> r;
-};
 
 } // namespace smt
 

@@ -60,9 +60,7 @@ PointExecutor::warmupKey(const GridPoint &point) const
 bool
 PointExecutor::reusable(const GridPoint &point)
 {
-    return point.recordPath.empty() &&
-           point.saveCheckpointPath.empty() &&
-           point.restoreCheckpointPath.empty();
+    return point.recordPath.empty();
 }
 
 PointOutcome
@@ -70,14 +68,7 @@ PointExecutor::runDirect(const GridPoint &point) const
 {
     PointOutcome out;
     Simulator sim(configFor(point));
-    if (!point.restoreCheckpointPath.empty()) {
-        sim.restoreCheckpoint(point.restoreCheckpointPath);
-    } else {
-        sim.runWarmup();
-        if (!point.saveCheckpointPath.empty())
-            sim.saveCheckpoint(point.saveCheckpointPath);
-    }
-    sim.runMeasure();
+    sim.run();
     out.result = resultFrom(point, params, sim);
     out.direct = true;
     return out;
@@ -94,12 +85,18 @@ PointExecutor::execute(const GridPoint &point) const
 
     if (acquired.snapshot) {
         Simulator sim(configFor(point));
+        // Errors name the directory's file: the snapshot was read
+        // from it, or its leader just wrote it there.
+        const std::string source =
+            snapshotDir.empty()
+                ? std::string("<shared warmup snapshot>")
+                : WarmupSnapshotCache::diskPathFor(snapshotDir, key);
         try {
-            sim.restoreCheckpointFromString(*acquired.snapshot);
+            sim.restoreCheckpointFromString(*acquired.snapshot, source);
         } catch (const CheckpointError &e) {
-            // Stale or corrupt cache entry (e.g. a config-hash
-            // collision on the disk tier): warn and run this point
-            // the plain way rather than aborting the sweep.
+            // Stale or corrupt snapshot (a damaged file, a config-hash
+            // collision): warn and run this point the plain way
+            // rather than aborting the sweep.
             warn("ignoring unusable warmup checkpoint: %s", e.what());
             return runDirect(point);
         }

@@ -40,7 +40,7 @@ struct PointOutcome
     bool restored = false;  //!< served from a cached snapshot
     bool direct = false;    //!< outside the reuse path entirely
 
-    /** The restore was served by the disk tier (restored only). */
+    /** The restore was served by the directory (restored only). */
     bool diskHit = false;
 };
 
@@ -53,17 +53,17 @@ struct PointOutcome
  * leasing: the first point of a warmup-key group runs the warmup and
  * publishes the snapshot; every other point (in this sweep or any
  * concurrent one sharing the cache) restores it. Without a cache —
- * or for points with record/checkpoint side effects, where a
- * restored run would capture a truncated trace — the point runs the
- * plain warmup+measure path.
+ * or for recording points, where a restored run would capture a
+ * truncated trace — the point runs the plain warmup+measure path.
  */
 class PointExecutor
 {
   public:
     /**
      * @param cache null disables warmup sharing entirely.
-     * @param snapshot_dir persistent disk tier for the cache
-     *        (empty: memory only); ignored when cache is null.
+     * @param snapshot_dir the checkpoint directory snapshots persist
+     *        in (empty: shared within leases only); ignored when
+     *        cache is null.
      */
     PointExecutor(const ExecutorParams &params,
                   WarmupSnapshotCache *cache = nullptr,
@@ -79,7 +79,7 @@ class PointExecutor
     /** The point's warmup-sharing group key (warmupConfigKey). */
     std::string warmupKey(const GridPoint &point) const;
 
-    /** False when the point has record/checkpoint side effects. */
+    /** False when the point records a trace. */
     static bool reusable(const GridPoint &point);
 
     /** Run the point to completion; throws on simulation errors

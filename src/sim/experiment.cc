@@ -155,8 +155,7 @@ ExperimentRunner::run(const SweepRequest &request,
                       SweepSubmitOptions options) const
 {
     // A reuse-enabled run gets a private cache scoped to this call;
-    // snapshots still persist across calls through
-    // request.checkpointDir's disk tier.
+    // snapshots persist across calls in request.checkpointDir.
     std::optional<WarmupSnapshotCache> cache;
     if (request.reuseEnabled())
         cache.emplace();
@@ -269,9 +268,7 @@ ExperimentRunner::writeJson(
             jw.field("journaledPoints",
                      static_cast<std::uint64_t>(
                          timing->journaledPoints));
-        jw.field("cacheHits", timing->cacheHits);
         jw.field("cacheDiskHits", timing->cacheDiskHits);
-        jw.field("cacheEvictions", timing->cacheEvictions);
         jw.endObject();
     }
     if (!metrics.empty()) {

@@ -86,13 +86,6 @@ struct GridPoint
 
     /** Extra capture cycles after measurement (--record-pad). */
     Cycle recordPadCycles = 0;
-
-    /** Save a post-warmup checkpoint here (--save-checkpoint). */
-    std::string saveCheckpointPath;
-
-    /** Skip warmup by restoring this checkpoint
-     *  (--restore-checkpoint). */
-    std::string restoreCheckpointPath;
 };
 
 /** One grid point's results. */
@@ -163,8 +156,8 @@ struct SweepTiming
     std::size_t warmupRuns = 0;    //!< warmups actually executed
     std::size_t restoredRuns = 0;  //!< points served by restore
     std::size_t directRuns = 0;    //!< points outside the reuse
-                                   //!< path (recording, explicit
-                                   //!< checkpoint flags)
+                                   //!< path (recording, unusable
+                                   //!< snapshot)
 
     /** Points satisfied from a resume journal without simulating
      *  anything (counted in gridPoints but NOT inside
@@ -175,16 +168,9 @@ struct SweepTiming
      *  is only meaningful — and only emitted — when true). */
     bool reuseEnabled = false;
 
-    /** @name Snapshot-cache accounting (reuse path only): restored
-     *  points split by serving tier, plus the evictions the serving
-     *  cache performed over this sweep's lifetime (exact for a
-     *  lone sweep; under concurrent sweeps sharing one cache it also
-     *  counts evictions the other sweeps caused). */
-    /// @{
-    std::uint64_t cacheHits = 0;      //!< memory-tier restores
-    std::uint64_t cacheDiskHits = 0;  //!< disk-tier restores
-    std::uint64_t cacheEvictions = 0; //!< LRU evictions over the run
-    /// @}
+    /** Restored points whose snapshot was read from the checkpoint
+     *  directory (the rest shared a concurrent leader's warmup). */
+    std::uint64_t cacheDiskHits = 0;
 };
 
 /** A finished sweep: per-point results in grid order plus how
@@ -214,7 +200,7 @@ struct ClaimVerdict
  * Facade over the scheduler/executor pair: runs one SweepRequest to
  * completion across host threads and renders results. Every
  * reuse-enabled run gets a private snapshot cache; snapshots outlive
- * the call only through request.checkpointDir's disk tier.
+ * the call only in request.checkpointDir.
  */
 class ExperimentRunner
 {

@@ -214,10 +214,6 @@ sweepRequestKey(const SweepRequest &request)
             s += "/" + variant;
         if (!p.recordPath.empty())
             s += "/record=" + p.recordPath;
-        if (!p.saveCheckpointPath.empty())
-            s += "/save=" + p.saveCheckpointPath;
-        if (!p.restoreCheckpointPath.empty())
-            s += "/restore=" + p.restoreCheckpointPath;
     }
     return csprintf("%016llx",
                     (unsigned long long)Rng::hashString(s));

@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "sim/simulator.hh"
-#include "sim/snapshot_cache.hh"
 #include "util/logging.hh"
 #include "workload/workloads.hh"
 
@@ -137,8 +136,6 @@ SweepScheduler::submit(const SweepRequest &request, std::string,
     checkRecordPathsUnique(request.points);
 
     auto job = std::make_unique<Job>(request, cache, std::move(options));
-    job->evictionsAtSubmit =
-        (job->reuseEnabled && cache) ? cache->stats().evictions : 0;
 
     std::lock_guard<std::mutex> lock(m);
     JobId id = nextId++;
@@ -174,9 +171,6 @@ SweepScheduler::wait(JobId id)
 void
 SweepScheduler::finalizeLocked(Job &job)
 {
-    if (job.reuseEnabled && cache)
-        job.report.timing.cacheEvictions =
-            cache->stats().evictions - job.evictionsAtSubmit;
     job.finished = true;
     // Release the runner's captures and close the journal now, not
     // when the scheduler is destroyed. Safe here — the job is
@@ -245,8 +239,6 @@ SweepScheduler::workerLoop()
                 ++t.restoredRuns;
                 if (outcome.diskHit)
                     ++t.cacheDiskHits;
-                else
-                    ++t.cacheHits;
             }
         }
 

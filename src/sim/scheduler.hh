@@ -117,7 +117,6 @@ class SweepScheduler
         std::exception_ptr error; //!< the first failing point's
 
         SweepReport report; //!< results grow in place, grid order
-        std::uint64_t evictionsAtSubmit = 0;
 
         Job(const SweepRequest &request, WarmupSnapshotCache *cache,
             SubmitOptions options);

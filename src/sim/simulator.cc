@@ -1,8 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <fstream>
-#include <sstream>
-
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 
@@ -102,21 +99,22 @@ Simulator::runMeasure()
     }
 }
 
-void
-Simulator::saveTo(std::ostream &os, const std::string &context) const
+std::string
+Simulator::saveCheckpointToString() const
 {
-    CheckpointWriter w(os, context, warmupConfigKey(cfg));
+    CheckpointWriter w("<memory>", warmupConfigKey(cfg));
     core_->saveState(w);
     for (unsigned t = 0; t < images.numThreads(); ++t) {
         w.begin(csprintf("trace.t%u", t));
         traces[t]->save(w);
         w.end();
     }
-    w.finish();
+    return w.finish();
 }
 
 void
-Simulator::restoreFrom(CheckpointReader &r)
+Simulator::restoreCheckpointFromString(const std::string &data,
+                                       const std::string &context)
 {
     if (!cfg.recordPath.empty())
         throw CheckpointError(
@@ -128,13 +126,13 @@ Simulator::restoreFrom(CheckpointReader &r)
         throw CheckpointError(
             "checkpoint restore requires a freshly-constructed "
             "simulator (this one has already run)");
+    CheckpointReader r(data, context);
     std::string expected = warmupConfigKey(cfg);
     if (r.configKey() != expected)
         r.fail(csprintf(
             "was saved under a different configuration.\n  saved:  "
             "%s\n  target: %s\nRe-run the warmup for this "
-            "configuration (or point --restore-checkpoint at the "
-            "matching checkpoint)",
+            "configuration",
             r.configKey().c_str(), expected.c_str()));
     core_->restoreState(r);
     for (unsigned t = 0; t < images.numThreads(); ++t) {
@@ -143,41 +141,6 @@ Simulator::restoreFrom(CheckpointReader &r)
         r.end();
     }
     r.finish();
-}
-
-void
-Simulator::saveCheckpoint(const std::string &path) const
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os)
-        throw CheckpointError(csprintf(
-            "%s: cannot create checkpoint file (missing directory "
-            "or no write permission?)",
-            path.c_str()));
-    saveTo(os, path);
-}
-
-void
-Simulator::restoreCheckpoint(const std::string &path)
-{
-    CheckpointFileReader file(path);
-    restoreFrom(file.reader());
-}
-
-std::string
-Simulator::saveCheckpointToString() const
-{
-    std::ostringstream os(std::ios::binary);
-    saveTo(os, "<memory>");
-    return std::move(os).str();
-}
-
-void
-Simulator::restoreCheckpointFromString(const std::string &data)
-{
-    std::istringstream is(data, std::ios::binary);
-    CheckpointReader r(is, "<memory>");
-    restoreFrom(r);
 }
 
 void

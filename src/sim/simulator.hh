@@ -7,7 +7,6 @@
 #ifndef SMTFETCH_SIM_SIMULATOR_HH
 #define SMTFETCH_SIM_SIMULATOR_HH
 
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -19,8 +18,6 @@
 
 namespace smt
 {
-
-class CheckpointReader;
 
 /** One self-contained simulation instance. */
 class Simulator
@@ -44,20 +41,20 @@ class Simulator
     /// @}
 
     /**
-     * @name Checkpoint save/restore. A checkpoint holds the complete
-     * simulator state (core, predictors, caches, trace positions)
-     * plus the warmup configuration key; restore verifies the key,
-     * requires a freshly-constructed simulator, and refuses recording
-     * runs (the trace file would silently miss its prefix). All
-     * failures are CheckpointErrors naming the file and the fix.
+     * @name Checkpoint save/restore. A checkpoint is a byte string
+     * holding the complete simulator state (core, predictors, caches,
+     * trace positions) plus the warmup configuration key; restore
+     * verifies the checksum and the key, requires a freshly-
+     * constructed simulator, and refuses recording runs (the trace
+     * file would silently miss its prefix). All failures are
+     * CheckpointErrors naming `context` (the snapshot's file, say)
+     * and the fix.
      */
     /// @{
-    void saveCheckpoint(const std::string &path) const;
-    void restoreCheckpoint(const std::string &path);
-
-    /** In-memory variants (warmup sharing within one process). */
     std::string saveCheckpointToString() const;
-    void restoreCheckpointFromString(const std::string &data);
+    void restoreCheckpointFromString(
+        const std::string &data,
+        const std::string &context = "<memory>");
     /// @}
 
     /** Run additional cycles beyond what run() executed. */
@@ -95,10 +92,6 @@ class Simulator
     }
 
   private:
-    /** Shared body of the save/restore entry points. */
-    void saveTo(std::ostream &os, const std::string &context) const;
-    void restoreFrom(CheckpointReader &r);
-
     SimConfig cfg;
     std::string measuredJson;
     WorkloadImages images;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -19,26 +18,21 @@ namespace smt
 namespace
 {
 
-/** Read a disk-tier snapshot; empty optional-style "" on failure is
- *  not distinguishable from an empty file, so failures return false. */
+/** Read a snapshot file whole; false when it cannot be read. */
 bool
 readFileBytes(const std::string &path, std::string &out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
+    const std::streamoff size = is ? std::streamoff(is.tellg()) : -1;
+    if (size < 0)
         return false;
-    out.assign((std::istreambuf_iterator<char>(is)),
-               std::istreambuf_iterator<char>());
-    return is.good() || is.eof();
+    out.resize(static_cast<std::size_t>(size));
+    is.seekg(0);
+    is.read(out.data(), static_cast<std::streamsize>(out.size()));
+    return static_cast<bool>(is);
 }
 
 } // namespace
-
-WarmupSnapshotCache::WarmupSnapshotCache(std::size_t max_bytes)
-    : maxBytes(max_bytes)
-{
-    counters.maxBytes = max_bytes;
-}
 
 std::string
 WarmupSnapshotCache::diskPathFor(const std::string &disk_dir,
@@ -55,22 +49,14 @@ WarmupSnapshotCache::acquire(const std::string &key,
 {
     std::unique_lock<std::mutex> lock(m);
     for (;;) {
-        auto it = entries.find(key);
-        if (it != entries.end()) {
-            lru.splice(lru.begin(), lru, it->second.lruPos);
-            ++counters.hits;
-            return Acquired{it->second.snapshot, false, false};
-        }
         auto inf = inflight.find(key);
         if (inf != inflight.end()) {
             // Another thread is warming this key; wait for its
             // verdict rather than duplicating the warmup.
             std::shared_ptr<Inflight> state = inf->second;
             cv.wait(lock, [&] { return state->done; });
-            if (state->snapshot) {
-                ++counters.hits;
+            if (state->snapshot)
                 return Acquired{state->snapshot, false, false};
-            }
             continue; // leader abandoned; retry (maybe lead)
         }
 
@@ -87,12 +73,7 @@ WarmupSnapshotCache::acquire(const std::string &key,
                     std::move(bytes));
                 lock.lock();
                 ++counters.diskHits;
-                insertLocked(key, snapshot);
-                auto state = inflight.at(key);
-                state->snapshot = snapshot;
-                state->done = true;
-                inflight.erase(key);
-                cv.notify_all();
+                settleLocked(key, snapshot);
                 return Acquired{snapshot, true, false};
             }
         }
@@ -159,49 +140,27 @@ WarmupSnapshotCache::fulfil(const std::string &key,
     std::lock_guard<std::mutex> lock(m);
     if (persistFailed)
         ++counters.persistFailures;
-    insertLocked(key, shared);
-    auto inf = inflight.find(key);
-    if (inf != inflight.end()) {
-        inf->second->snapshot = std::move(shared);
-        inf->second->done = true;
-        inflight.erase(inf);
-    }
-    cv.notify_all();
+    settleLocked(key, std::move(shared));
 }
 
 void
 WarmupSnapshotCache::abandon(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(m);
-    auto inf = inflight.find(key);
-    if (inf != inflight.end()) {
-        inf->second->done = true; // snapshot stays null
-        inflight.erase(inf);
-    }
-    cv.notify_all();
+    settleLocked(key, nullptr);
 }
 
 void
-WarmupSnapshotCache::insertLocked(const std::string &key,
+WarmupSnapshotCache::settleLocked(const std::string &key,
                                   SnapshotPtr snapshot)
 {
-    if (entries.find(key) != entries.end())
-        return; // a concurrent fulfil won; keep the resident copy
-    if (snapshot->size() > maxBytes)
-        return; // would evict everything and still not fit
-    lru.push_front(key);
-    entries.emplace(key, Entry{std::move(snapshot), lru.begin()});
-    counters.bytes += entries.at(key).snapshot->size();
-    ++counters.insertions;
-    while (counters.bytes > maxBytes && !lru.empty()) {
-        const std::string &victim = lru.back();
-        auto it = entries.find(victim);
-        counters.bytes -= it->second.snapshot->size();
-        entries.erase(it);
-        lru.pop_back();
-        ++counters.evictions;
+    auto inf = inflight.find(key);
+    if (inf != inflight.end()) {
+        inf->second->snapshot = std::move(snapshot);
+        inf->second->done = true;
+        inflight.erase(inf);
     }
-    counters.entries = entries.size();
+    cv.notify_all();
 }
 
 WarmupSnapshotCache::Stats

@@ -5,15 +5,19 @@ Each subcommand drives the built binaries through their flags, files
 and exit codes and checks one determinism or robustness invariant:
 
   record_replay       a recorded run replays to the same results
-  checkpoint_engines  --save/--restore-checkpoint round trip, per engine
-  warmup_cache        --checkpoint-dir sweeps match plain ones, and a
-                      second pass restores every warmup from disk
+  checkpoint_engines  --checkpoint-dir round trip, per engine: a warm
+                      run restores the cold run's snapshot and matches
+                      the plain run
+  warmup_cache        --checkpoint-dir sweeps match plain ones, a
+                      second pass restores every warmup from disk, and
+                      a corrupted directory falls back to plain runs
   resume_kill         a SIGKILLed --checkpoint-dir sweep resumes to the
                       uninterrupted run's results
   corpus_manifest     tracegen manifests hash-check independently,
-                      replay, and reject a tampered trace
-  bad_flags           malformed numeric flags fail, name the flag and
-                      write nothing
+                      replay (also through an absolute manifest path),
+                      and reject a tampered trace
+  bad_flags           malformed numeric flags and removed flags fail,
+                      name the flag and write nothing
 
 Each gate works in a fresh --work-dir and deletes nothing outside it.
 CMake registers one `cli_<gate>` ctest per subcommand:
@@ -142,19 +146,28 @@ def record_replay(g):
 def checkpoint_engines(g):
     engines = g.smt("--list-engines", "--quiet").stdout.split()
     check(len(engines) >= 3, f"too few engines listed: {engines}")
-    g.mkdirs("ck-plain", "ck-restored")
-    for engine in engines:
+    g.mkdirs("ck-plain", "ck-cold", "ck-warm")
+    for i, engine in enumerate(engines):
+        ckpt = f"ckpt{i}"
+        g.mkdirs(ckpt)
         g.write_spec("ck.json", spec("ck", ["2_MIX"], engine))
-        g.smt("--quiet", "--no-json", "--save-checkpoint", "warm.ckpt",
-              "ck.json")
         g.smt("--quiet", "--out-dir", "ck-plain", "ck.json")
-        g.smt("--quiet", "--out-dir", "ck-restored", "--restore-checkpoint",
-              "warm.ckpt", "ck.json")
-        a = load(g.work / "ck-plain" / "BENCH_ck.json")["results"]
-        b = load(g.work / "ck-restored" / "BENCH_ck.json")["results"]
-        check(a == b, f"{engine}: restored run differs from the plain run")
+        g.smt("--quiet", "--out-dir", "ck-cold", "--checkpoint-dir", ckpt,
+              "ck.json")
+        # Without the journal the warm run simulates its point, so it
+        # must restore the cold run's snapshot.
+        (g.work / ckpt / "journal_ck.jsonl").unlink()
+        g.smt("--quiet", "--out-dir", "ck-warm", "--checkpoint-dir", ckpt,
+              "ck.json")
+        plain = load(g.work / "ck-plain" / "BENCH_ck.json")["results"]
+        warm = load(g.work / "ck-warm" / "BENCH_ck.json")
+        reuse = warm["warmupReuse"]
+        check(reuse["restoredRuns"] == 1,
+              f"{engine}: the warm run did not restore: {reuse}")
+        check(warm["results"] == plain,
+              f"{engine}: restored run differs from the plain run")
         print(engine, "checkpoint round trip identical:",
-              a[0]["ipfc"], a[0]["ipc"])
+              plain[0]["ipfc"], plain[0]["ipc"])
 
 
 def warmup_cache(g):
@@ -186,6 +199,31 @@ def warmup_cache(g):
                   *[g.work / d / f"BENCH_{b}.json"
                     for d in ("cold", "warm")
                     for b in ("fig2_single_thread", "fig4_two_threads")])
+
+    # Flip one payload byte in every snapshot: each restore must fail
+    # its checksum, name the file, and fall back to a plain run.
+    for journal in (g.work / "ckpt").glob("journal_*.jsonl"):
+        journal.unlink()
+    for snap in (g.work / "ckpt").glob("smtckpt_*.ckpt"):
+        data = bytearray(snap.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        snap.write_bytes(bytes(data))
+    g.mkdirs("corrupt")
+    err = g.smt("--quiet", "--out-dir", "corrupt", "--checkpoint-dir",
+                "ckpt", *specs).stderr
+    check("checksum mismatch" in err and "smtckpt_" in err,
+          f"corrupt snapshot warning is not actionable:\n{err}")
+    for bench in ("fig2_single_thread", "fig4_two_threads"):
+        plain = load(g.work / "plain" / f"BENCH_{bench}.json")
+        corrupt = load(g.work / "corrupt" / f"BENCH_{bench}.json")
+        check(plain["results"] == corrupt["results"],
+              f"{bench}: sweep over a corrupted directory differs from "
+              "the plain sweep")
+        check(corrupt["warmupReuse"]["restoredRuns"] == 0,
+              f"{bench}: restored a corrupted snapshot: "
+              f"{corrupt['warmupReuse']}")
+    print("corrupted directory fell back to plain runs:",
+          err.strip().splitlines()[0])
 
 
 def journal_lines(path):
@@ -284,6 +322,21 @@ def corpus_manifest(g):
     g.smt("--quiet", "corpus.json")
     g.check_bench("--min-results", 1, g.work / "BENCH_corpus.json")
 
+    # An absolute manifest path with a relative trace path must still
+    # list the trace relative to the manifest's directory.
+    g.mkdirs("abs")
+    abs_manifest = g.work / "abs" / "manifest.json"
+    g.tgen("--insts", 100000, "--manifest", abs_manifest, "gzip",
+           "abs/g.trc")
+    [entry] = load(abs_manifest)["traces"]
+    check(entry["path"] == "g.trc",
+          f"absolute manifest lists {entry['path']!r}, not 'g.trc'")
+    g.write_spec("abs.json", spec("abs", [
+        {"corpus": str(abs_manifest), "mix": ["gzip"]}]))
+    g.smt("--quiet", "--out-dir", "abs", "abs.json")
+    g.check_bench("--min-results", 1, g.work / "abs" / "BENCH_abs.json")
+    print("absolute manifest lists", entry["path"], "and replays")
+
     trace = g.work / "corpus" / "gzip.trc"
     data = bytearray(trace.read_bytes())
     data[len(data) // 2] ^= 0x01
@@ -313,6 +366,9 @@ def bad_flags(g):
         ("smtsim", "--seed", ["--seed", "1e3"]),
         ("smtsim", "--record-pad", ["--record-pad", " 7"]),
         ("smtsim", "--record-pad", ["--record-pad", "100"]),
+        # Removed flag: the checkpoint directory is the one store.
+        ("smtsim", "--save-checkpoint",
+         ["--save-checkpoint", "out/x.ckpt"]),
     ]
     for tool, flag, argv in cases:
         out = g.work / "out"

@@ -1,10 +1,11 @@
 /**
  * @file
  * Checkpoint subsystem tests: full-state save→restore→run must be
- * bit-identical to an uninterrupted run (unit level, file level, and
- * through the ExperimentRunner warmup-reuse fast path on the fig2 and
- * fig4 specs); warmup runs exactly once per unique configuration
- * group and disk caches serve later sweeps without any warmup; every
+ * bit-identical to an uninterrupted run (unit level, and through the
+ * ExperimentRunner warmup-reuse fast path on the fig2 and fig4
+ * specs); warmup runs exactly once per unique configuration group and
+ * the checkpoint directory serves later sweeps without any warmup,
+ * falling back to plain runs when its files are corrupt; every
  * malformed checkpoint input raises an actionable CheckpointError,
  * never UB; restored caches replay identical hit/miss sequences.
  */
@@ -12,7 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -60,52 +61,64 @@ smallConfig(const std::string &wl, EngineKind e, unsigned n, unsigned x,
     return cfg;
 }
 
-std::vector<char>
+std::string
 readFileBytes(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
     EXPECT_TRUE(is.good()) << path;
-    return std::vector<char>(std::istreambuf_iterator<char>(is),
-                             std::istreambuf_iterator<char>());
+    return std::string(std::istreambuf_iterator<char>(is),
+                       std::istreambuf_iterator<char>());
 }
 
 void
-writeFileBytes(const std::string &path, const std::vector<char> &bytes)
+writeFileBytes(const std::string &path, const std::string &bytes)
 {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(),
-             static_cast<std::streamsize>(bytes.size()));
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     ASSERT_TRUE(os.good()) << path;
 }
 
-/** Restore `path` into a fresh simulator of `cfg`; must throw a
+/** Restore `bytes` into a fresh simulator of `cfg`; must throw a
  *  CheckpointError whose message names the problem actionably. */
 void
-expectRestoreFails(const SimConfig &cfg, const std::string &path,
+expectRestoreFails(const SimConfig &cfg, const std::string &bytes,
                    const std::string &expect_substring = "checkpoint")
 {
     Simulator sim(cfg);
     try {
-        sim.restoreCheckpoint(path);
-        FAIL() << "restore of " << path << " did not throw";
+        sim.restoreCheckpointFromString(bytes, "forged.ckpt");
+        FAIL() << "restore did not throw";
     } catch (const CheckpointError &e) {
-        EXPECT_NE(std::string(e.what()).find(expect_substring),
-                  std::string::npos)
-            << "message was: " << e.what();
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(expect_substring), std::string::npos)
+            << "message was: " << msg;
+        EXPECT_NE(msg.find("forged.ckpt"), std::string::npos)
+            << "message does not name its source: " << msg;
     }
 }
 
-/** One corrupted-byte variant of a valid checkpoint file. */
+/** Recompute the checksum of (possibly edited) checkpoint bytes, so
+ *  a forged field reaches the parser behind the integrity check. */
 std::string
-corruptedCopy(const std::vector<char> &valid, const std::string &name,
-              std::size_t offset, char value)
+resealed(std::string bytes)
 {
-    std::vector<char> bytes = valid;
+    const std::size_t at = bytes.size() - 8 - sizeof(checkpointTrailer);
+    std::uint64_t sum =
+        checkpointChecksum(std::string_view(bytes).substr(0, at));
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<char>(sum >> (8 * i));
+    return bytes;
+}
+
+/** A valid checkpoint with one byte replaced and the checksum
+ *  re-stamped: a well-sealed file whose field is wrong. */
+std::string
+forged(const std::string &valid, std::size_t offset, char value)
+{
+    std::string bytes = valid;
     EXPECT_LT(offset, bytes.size());
     bytes[offset] = value;
-    std::string path = tempPath(name);
-    writeFileBytes(path, bytes);
-    return path;
+    return resealed(std::move(bytes));
 }
 
 } // namespace
@@ -114,21 +127,20 @@ corruptedCopy(const std::vector<char> &valid, const std::string &name,
 // Round-trip fidelity
 // ---------------------------------------------------------------------
 
-TEST(CheckpointRoundTrip, FileSaveRestoreBitIdenticalAllEngines)
+TEST(CheckpointRoundTrip, SaveRestoreBitIdenticalAllEngines)
 {
     // Every registered engine, zoo included: each engine's checkpoint
     // section (tag + payload) must round-trip bit-identically.
     for (EngineKind e : allEngines()) {
         SimConfig cfg = smallConfig("2_MIX", e, 2, 8, 42);
-        std::string path = tempPath("roundtrip.ckpt");
 
         Simulator uninterrupted(cfg);
         uninterrupted.runWarmup();
-        uninterrupted.saveCheckpoint(path);
+        std::string snapshot = uninterrupted.saveCheckpointToString();
         uninterrupted.runMeasure();
 
         Simulator restored(cfg);
-        restored.restoreCheckpoint(path);
+        restored.restoreCheckpointFromString(snapshot);
         restored.runMeasure();
 
         EXPECT_EQ(uninterrupted.registry().jsonString(),
@@ -139,7 +151,6 @@ TEST(CheckpointRoundTrip, FileSaveRestoreBitIdenticalAllEngines)
             << "engine " << engineName(e);
         // The run did real work on both sides.
         EXPECT_GT(restored.registry().value("commit.insts"), 500.0);
-        std::remove(path.c_str());
     }
 }
 
@@ -206,34 +217,32 @@ TEST(CheckpointRoundTrip, TraceReplayWorkloadRoundTrip)
 
     Simulator uninterrupted(replay);
     uninterrupted.runWarmup();
-    std::string path = tempPath("replay_roundtrip.ckpt");
-    uninterrupted.saveCheckpoint(path);
+    std::string snapshot = uninterrupted.saveCheckpointToString();
     uninterrupted.runMeasure();
 
     Simulator restored(replay);
-    restored.restoreCheckpoint(path);
+    restored.restoreCheckpointFromString(snapshot);
     restored.runMeasure();
 
     EXPECT_EQ(uninterrupted.registry().jsonString(),
               restored.registry().jsonString());
-    std::remove(path.c_str());
     std::remove(trace_path.c_str());
 }
 
 TEST(CheckpointRoundTrip, RestoreRefusesRecordingRuns)
 {
     SimConfig cfg = smallConfig("gzip", EngineKind::GshareBtb, 1, 8);
-    std::string path = tempPath("refuse_record.ckpt");
+    std::string snapshot;
     {
         Simulator sim(cfg);
         sim.runWarmup();
-        sim.saveCheckpoint(path);
+        snapshot = sim.saveCheckpointToString();
     }
     SimConfig recording = cfg;
     recording.recordPath = tempPath("refuse_record.trc");
     Simulator sim(recording);
-    EXPECT_THROW(sim.restoreCheckpoint(path), CheckpointError);
-    std::remove(path.c_str());
+    EXPECT_THROW(sim.restoreCheckpointFromString(snapshot),
+                 CheckpointError);
     std::remove(recording.recordPath.c_str());
 }
 
@@ -335,8 +344,8 @@ TEST(WarmupReuse, DiskCacheServesLaterSweepsWithoutWarmup)
     SweepRequest request = spec.makeRequest();
     request.checkpointDir = freshDir("ckpt_cache");
 
-    // Each run() call gets a fresh in-memory cache, so the second
-    // sweep can only be served by the persisted disk tier.
+    // Each run() call gets a fresh cache, so the second sweep can
+    // only be served by the checkpoint directory.
     SweepReport first = ExperimentRunner().run(request);
     const auto &cold = first.results;
     EXPECT_EQ(first.timing.warmupRuns, 2u);
@@ -349,14 +358,55 @@ TEST(WarmupReuse, DiskCacheServesLaterSweepsWithoutWarmup)
     const auto &warm = second.results;
     EXPECT_EQ(second.timing.warmupRuns, 0u);
     EXPECT_EQ(second.timing.restoredRuns, request.points.size());
-    EXPECT_EQ(second.timing.cacheDiskHits + second.timing.cacheHits,
-              second.timing.restoredRuns);
-    EXPECT_GE(second.timing.cacheDiskHits, 1u);
+    EXPECT_EQ(second.timing.cacheDiskHits, second.timing.restoredRuns);
     ASSERT_EQ(cold.size(), warm.size());
     for (std::size_t i = 0; i < cold.size(); ++i) {
         EXPECT_EQ(cold[i].ipfc, warm[i].ipfc);
         EXPECT_EQ(cold[i].ipc, warm[i].ipc);
         EXPECT_EQ(cold[i].statsJson, warm[i].statsJson);
+    }
+}
+
+TEST(WarmupReuse, CorruptDirectoryFallsBackToThePlainResults)
+{
+    SweepSpec spec = SweepSpec::fromString(R"({
+        "name": "corrupt",
+        "warmupCycles": 3000,
+        "measureCycles": 8000,
+        "workloads": ["2_MIX"],
+        "engines": ["gshare+BTB", "stream"],
+        "policies": ["1.8"]
+    })");
+    SweepRequest request = spec.makeRequest();
+    auto plain = ExperimentRunner().run(request).results;
+    request.checkpointDir = freshDir("ckpt_corrupt");
+    ASSERT_EQ(ExperimentRunner().run(request).timing.warmupRuns, 2u);
+
+    // Flip one byte in the middle of every snapshot's payload.
+    std::string victim;
+    for (const auto &e : std::filesystem::directory_iterator(
+             request.checkpointDir)) {
+        std::string bytes = readFileBytes(e.path().string());
+        bytes[bytes.size() / 2] ^= 0x01;
+        writeFileBytes(e.path().string(), bytes);
+        victim = e.path().filename().string();
+    }
+    ASSERT_EQ(victim.rfind("smtckpt_", 0), 0u) << victim;
+
+    // Every restore fails its checksum, warns naming the file, and
+    // the point runs the plain way to the plain results.
+    ::testing::internal::CaptureStderr();
+    SweepReport report = ExperimentRunner().run(request);
+    const std::string warnings = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(warnings.find("checksum"), std::string::npos) << warnings;
+    EXPECT_NE(warnings.find(victim), std::string::npos) << warnings;
+    EXPECT_EQ(report.timing.restoredRuns, 0u);
+    EXPECT_EQ(report.timing.directRuns, request.points.size());
+    ASSERT_EQ(plain.size(), report.results.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+        EXPECT_EQ(plain[i].ipc, report.results[i].ipc) << "point " << i;
+        EXPECT_EQ(plain[i].statsJson, report.results[i].statsJson)
+            << "point " << i;
     }
 }
 
@@ -419,30 +469,24 @@ class MalformedCheckpoint : public ::testing::Test
     {
         cfg = new SimConfig(smallConfig("gzip", EngineKind::Stream, 1,
                                         8, 0, 500, 1'000));
-        validPath = new std::string(tempPath("valid.ckpt"));
         Simulator sim(*cfg);
         sim.runWarmup();
-        sim.saveCheckpoint(*validPath);
-        valid = new std::vector<char>(readFileBytes(*validPath));
+        valid = new std::string(sim.saveCheckpointToString());
     }
 
     static void
     TearDownTestSuite()
     {
-        std::remove(validPath->c_str());
         delete valid;
-        delete validPath;
         delete cfg;
     }
 
     static SimConfig *cfg;
-    static std::string *validPath;
-    static std::vector<char> *valid;
+    static std::string *valid;
 };
 
 SimConfig *MalformedCheckpoint::cfg = nullptr;
-std::string *MalformedCheckpoint::validPath = nullptr;
-std::vector<char> *MalformedCheckpoint::valid = nullptr;
+std::string *MalformedCheckpoint::valid = nullptr;
 
 /** Offset of the component-count field in the header. */
 constexpr std::size_t countOffset = 8 + 2 + 2;
@@ -452,130 +496,103 @@ constexpr std::size_t keyLenOffset = countOffset + 4;
 
 } // namespace
 
-TEST_F(MalformedCheckpoint, ValidFileRestores)
+TEST_F(MalformedCheckpoint, ValidCheckpointRestores)
 {
     Simulator sim(*cfg);
-    sim.restoreCheckpoint(*validPath); // must not throw
+    sim.restoreCheckpointFromString(*valid); // must not throw
     sim.runMeasure();
     EXPECT_GT(sim.registry().value("commit.insts"), 0.0);
 }
 
-TEST_F(MalformedCheckpoint, NonexistentFile)
+TEST_F(MalformedCheckpoint, Empty)
 {
-    expectRestoreFails(*cfg, tempPath("does_not_exist.ckpt"),
-                       "cannot open");
-}
-
-TEST_F(MalformedCheckpoint, EmptyFile)
-{
-    std::string path = tempPath("empty.ckpt");
-    writeFileBytes(path, {});
-    expectRestoreFails(*cfg, path, "too short");
+    expectRestoreFails(*cfg, "", "too short");
 }
 
 TEST_F(MalformedCheckpoint, BadMagic)
 {
-    expectRestoreFails(
-        *cfg, corruptedCopy(*valid, "badmagic.ckpt", 0, 'X'),
-        "not a checkpoint file");
+    expectRestoreFails(*cfg, forged(*valid, 0, 'X'),
+                       "not a checkpoint file");
 }
 
 TEST_F(MalformedCheckpoint, VersionSkew)
 {
-    expectRestoreFails(*cfg,
-                       corruptedCopy(*valid, "badver.ckpt", 8, 99),
-                       "version");
+    expectRestoreFails(*cfg, forged(*valid, 8, 99), "version");
+}
+
+TEST_F(MalformedCheckpoint, PayloadByteFlipFailsTheChecksum)
+{
+    // A flipped bit deep in a payload would otherwise restore as a
+    // plausible but wrong state.
+    std::string bytes = *valid;
+    bytes[bytes.size() / 2] ^= 0x01;
+    expectRestoreFails(*cfg, bytes, "checksum");
 }
 
 TEST_F(MalformedCheckpoint, ReservedFieldNonzero)
 {
-    expectRestoreFails(*cfg,
-                       corruptedCopy(*valid, "badres.ckpt", 10, 1),
-                       "reserved");
+    expectRestoreFails(*cfg, forged(*valid, 10, 1), "reserved");
 }
 
 TEST_F(MalformedCheckpoint, ZeroComponentCount)
 {
-    std::vector<char> bytes = *valid;
+    std::string bytes = *valid;
     for (int i = 0; i < 4; ++i)
         bytes[countOffset + i] = 0;
-    std::string path = tempPath("zerocount.ckpt");
-    writeFileBytes(path, bytes);
-    expectRestoreFails(*cfg, path, "zero components");
+    expectRestoreFails(*cfg, resealed(bytes), "zero components");
 }
 
 TEST_F(MalformedCheckpoint, ComponentCountTooLow)
 {
-    std::vector<char> bytes = *valid;
+    std::string bytes = *valid;
     bytes[countOffset] = 1;
     for (int i = 1; i < 4; ++i)
         bytes[countOffset + i] = 0;
-    std::string path = tempPath("lowcount.ckpt");
-    writeFileBytes(path, bytes);
-    expectRestoreFails(*cfg, path, "component-count mismatch");
+    expectRestoreFails(*cfg, resealed(bytes), "component-count mismatch");
 }
 
 TEST_F(MalformedCheckpoint, ComponentCountTooHigh)
 {
-    std::vector<char> bytes = *valid;
+    std::string bytes = *valid;
     bytes[countOffset] = static_cast<char>(
         static_cast<unsigned char>(bytes[countOffset]) + 5);
-    std::string path = tempPath("highcount.ckpt");
-    writeFileBytes(path, bytes);
-    expectRestoreFails(*cfg, path, "component-count mismatch");
+    expectRestoreFails(*cfg, resealed(bytes), "component-count mismatch");
 }
 
 TEST_F(MalformedCheckpoint, HugeStringLength)
 {
-    std::vector<char> bytes = *valid;
+    std::string bytes = *valid;
     for (int i = 0; i < 4; ++i)
         bytes[keyLenOffset + i] = static_cast<char>(0xff);
-    std::string path = tempPath("hugestr.ckpt");
-    writeFileBytes(path, bytes);
-    expectRestoreFails(*cfg, path, "format limit");
+    expectRestoreFails(*cfg, resealed(bytes), "format limit");
 }
 
 TEST_F(MalformedCheckpoint, TruncatedHeader)
 {
-    std::vector<char> bytes(valid->begin(), valid->begin() + 10);
-    std::string path = tempPath("trunchdr.ckpt");
-    writeFileBytes(path, bytes);
-    expectRestoreFails(*cfg, path);
+    expectRestoreFails(*cfg, valid->substr(0, 10));
 }
 
 TEST_F(MalformedCheckpoint, TruncatedMidPayload)
 {
-    std::vector<char> bytes(valid->begin(),
-                            valid->begin() + valid->size() / 2);
-    std::string path = tempPath("truncmid.ckpt");
-    writeFileBytes(path, bytes);
-    expectRestoreFails(*cfg, path);
+    expectRestoreFails(*cfg, valid->substr(0, valid->size() / 2));
 }
 
 TEST_F(MalformedCheckpoint, MissingTrailer)
 {
-    std::vector<char> bytes(valid->begin(), valid->end() - 8);
-    std::string path = tempPath("notrailer.ckpt");
-    writeFileBytes(path, bytes);
-    expectRestoreFails(*cfg, path, "trailer");
+    expectRestoreFails(*cfg, valid->substr(0, valid->size() - 8),
+                       "trailer");
 }
 
 TEST_F(MalformedCheckpoint, CorruptTrailer)
 {
-    expectRestoreFails(
-        *cfg,
-        corruptedCopy(*valid, "badtrailer.ckpt", valid->size() - 4,
-                      '?'),
-        "trailer");
+    std::string bytes = *valid;
+    bytes[bytes.size() - 4] = '?';
+    expectRestoreFails(*cfg, bytes, "trailer");
 }
 
 TEST_F(MalformedCheckpoint, TrailingGarbage)
 {
-    std::vector<char> bytes = *valid;
-    bytes.push_back('!');
-    std::string path = tempPath("garbage.ckpt");
-    writeFileBytes(path, bytes);
-    expectRestoreFails(*cfg, path, "trailing bytes");
+    expectRestoreFails(*cfg, *valid + "!", "trailing bytes");
 }
 
 TEST_F(MalformedCheckpoint, WrongComponentName)
@@ -591,18 +608,15 @@ TEST_F(MalformedCheckpoint, WrongComponentName)
               (static_cast<unsigned char>((*valid)[keyLenOffset + 3])
                << 24);
     std::size_t name_offset = keyLenOffset + 4 + key_len + 4;
-    expectRestoreFails(
-        *cfg,
-        corruptedCopy(*valid, "badname.ckpt", name_offset, 'X'),
-        "order mismatch");
+    expectRestoreFails(*cfg, forged(*valid, name_offset, 'X'),
+                       "order mismatch");
 }
 
 TEST_F(MalformedCheckpoint, ConfigKeyMismatchDifferentSeed)
 {
     SimConfig other = *cfg;
     other.seed = 12345;
-    expectRestoreFails(other, *validPath,
-                       "different configuration");
+    expectRestoreFails(other, *valid, "different configuration");
 }
 
 TEST_F(MalformedCheckpoint, ConfigKeyMismatchDifferentEngine)
@@ -610,23 +624,22 @@ TEST_F(MalformedCheckpoint, ConfigKeyMismatchDifferentEngine)
     SimConfig other =
         smallConfig("gzip", EngineKind::GshareBtb, 1, 8, 0, 500,
                     1'000);
-    expectRestoreFails(other, *validPath,
-                       "different configuration");
+    expectRestoreFails(other, *valid, "different configuration");
 }
 
 TEST_F(MalformedCheckpoint, ConfigKeyMismatchDifferentWarmup)
 {
     SimConfig other = *cfg;
     other.warmupCycles += 1;
-    expectRestoreFails(other, *validPath,
-                       "different configuration");
+    expectRestoreFails(other, *valid, "different configuration");
 }
 
 TEST_F(MalformedCheckpoint, RestoreIntoUsedSimulatorRefused)
 {
     Simulator sim(*cfg);
     sim.run();
-    EXPECT_THROW(sim.restoreCheckpoint(*validPath), CheckpointError);
+    EXPECT_THROW(sim.restoreCheckpointFromString(*valid),
+                 CheckpointError);
 }
 
 // ---------------------------------------------------------------------
@@ -642,16 +655,12 @@ void
 expectEngineCheckpointRejected(const EngineCheckpoint &c,
                                const std::string &expect_substring)
 {
-    std::ostringstream os(std::ios::binary);
-    {
-        CheckpointWriter w(os, "<codec-test>", "k");
-        w.begin("x");
-        c.save(w);
-        w.end();
-        w.finish();
-    }
-    std::istringstream is(std::move(os).str(), std::ios::binary);
-    CheckpointReader r(is, "<codec-test>");
+    CheckpointWriter w("<codec-test>", "k");
+    w.begin("x");
+    c.save(w);
+    w.end();
+    const std::string bytes = w.finish();
+    CheckpointReader r(bytes, "<codec-test>");
     r.begin("x");
     EngineCheckpoint d;
     try {
@@ -711,16 +720,12 @@ TEST(CacheRestore, RestoredCacheReplaysIdenticalHitMissSequence)
     }
 
     // Round-trip the warm cache state through the checkpoint codec.
-    std::ostringstream os(std::ios::binary);
-    {
-        CheckpointWriter w(os, "<cache-test>", "cache-key");
-        w.begin("cache");
-        warm.save(w);
-        w.end();
-        w.finish();
-    }
-    std::istringstream is(std::move(os).str(), std::ios::binary);
-    CheckpointReader r(is, "<cache-test>");
+    CheckpointWriter w("<cache-test>", "cache-key");
+    w.begin("cache");
+    warm.save(w);
+    w.end();
+    const std::string bytes = w.finish();
+    CheckpointReader r(bytes, "<cache-test>");
     EXPECT_EQ(r.configKey(), "cache-key");
     r.begin("cache");
     restored.restore(r);

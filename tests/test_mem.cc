@@ -4,7 +4,6 @@
  * merging, multi-level latencies and TLBs.
  */
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -244,13 +243,11 @@ template <typename T>
 std::string
 savedBytes(const T &obj)
 {
-    std::ostringstream os(std::ios::binary);
-    CheckpointWriter w(os, "<tlb-test>", "k");
+    CheckpointWriter w("<tlb-test>", "k");
     w.begin("tlb");
     obj.save(w);
     w.end();
-    w.finish();
-    return std::move(os).str();
+    return w.finish();
 }
 
 TEST(TlbTest, IndexedTlbMatchesLinearScanReference)
@@ -273,9 +270,8 @@ TEST(TlbTest, IndexedTlbMatchesLinearScanReference)
             for (int i = 0; i < accesses; ++i) {
                 if (i == accesses / 2) {
                     // Resume from a checkpoint mid-stream.
-                    std::istringstream is(savedBytes(tlb),
-                                          std::ios::binary);
-                    CheckpointReader r(is, "<tlb-test>");
+                    const std::string bytes = savedBytes(tlb);
+                    CheckpointReader r(bytes, "<tlb-test>");
                     Tlb restored("T", entries, page, penalty);
                     r.begin("tlb");
                     restored.restore(r);
@@ -304,9 +300,9 @@ TEST(TlbTest, IndexedTlbMatchesLinearScanReference)
 
 TEST(TlbTest, RestoreRejectsAPageMappedTwice)
 {
-    std::ostringstream os(std::ios::binary);
+    std::string bytes;
     {
-        CheckpointWriter w(os, "<tlb-test>", "k");
+        CheckpointWriter w("<tlb-test>", "k");
         w.begin("tlb");
         w.u32(2);  // entries
         w.u64(2);  // LRU clock
@@ -319,10 +315,9 @@ TEST(TlbTest, RestoreRejectsAPageMappedTwice)
         w.u64(2); // accesses
         w.u64(2); // misses
         w.end();
-        w.finish();
+        bytes = w.finish();
     }
-    std::istringstream is(std::move(os).str(), std::ios::binary);
-    CheckpointReader r(is, "<tlb-test>");
+    CheckpointReader r(bytes, "<tlb-test>");
     Tlb tlb("dtlb", 2, 8192, 30);
     r.begin("tlb");
     try {

@@ -190,9 +190,12 @@ TEST(Scheduler, SharedCacheWarmsAPopularConfigExactlyOnce)
 
     EXPECT_EQ(r1.timing.warmupRuns + r2.timing.warmupRuns, 1u);
     EXPECT_EQ(r1.timing.restoredRuns + r2.timing.restoredRuns, 1u);
-    EXPECT_EQ(r1.timing.cacheHits + r2.timing.cacheHits, 1u);
+    // One lease led the warmup. The other point either waited on
+    // that lease or, arriving after it settled, read the directory.
     EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().insertions, 1u);
+    EXPECT_EQ(cache.stats().diskHits,
+              r1.timing.cacheDiskHits + r2.timing.cacheDiskHits);
+    EXPECT_LE(cache.stats().diskHits, 1u);
 
     // And sharing is invisible in the results.
     EXPECT_EQ(r1.results[0].ipfc, r2.results[0].ipfc);

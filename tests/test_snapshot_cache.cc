@@ -1,10 +1,9 @@
 /**
  * @file
- * WarmupSnapshotCache unit tests: LRU eviction under a byte budget
- * (with the eviction counter the sweep timing surfaces), the
- * persistent disk tier (write-through on fulfil, promotion on a
- * memory miss), and the single-flight warmup leases that make a
- * popular key's warmup run exactly once across concurrent callers.
+ * WarmupSnapshotCache unit tests: the checkpoint directory (written
+ * on fulfil, read by later caches, nothing retained in memory) and
+ * the single-flight warmup leases that make a popular key's warmup
+ * run exactly once across concurrent callers.
  */
 
 #include <atomic>
@@ -45,88 +44,10 @@ insert(WarmupSnapshotCache &cache, const std::string &key,
 } // namespace
 
 // ---------------------------------------------------------------------
-// Memory tier: LRU order and the byte budget
+// Checkpoint directory
 // ---------------------------------------------------------------------
 
-TEST(SnapshotCache, HitsMissesAndByteAccounting)
-{
-    WarmupSnapshotCache cache(1 << 20);
-    insert(cache, "a", std::string(100, 'a'));
-    insert(cache, "b", std::string(200, 'b'));
-
-    auto hit = cache.acquire("a");
-    ASSERT_TRUE(hit.snapshot);
-    EXPECT_FALSE(hit.leader);
-    EXPECT_FALSE(hit.diskHit);
-    EXPECT_EQ(*hit.snapshot, std::string(100, 'a'));
-
-    auto s = cache.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.misses, 2u);
-    EXPECT_EQ(s.insertions, 2u);
-    EXPECT_EQ(s.evictions, 0u);
-    EXPECT_EQ(s.bytes, 300u);
-    EXPECT_EQ(s.entries, 2u);
-    EXPECT_EQ(s.maxBytes, std::size_t(1) << 20);
-}
-
-TEST(SnapshotCache, LruEvictionPrefersTheColdestKey)
-{
-    // Budget fits three 100-byte snapshots. Touch "a" so "b" is the
-    // LRU victim when "d" arrives.
-    WarmupSnapshotCache cache(300);
-    insert(cache, "a", std::string(100, 'a'));
-    insert(cache, "b", std::string(100, 'b'));
-    insert(cache, "c", std::string(100, 'c'));
-    ASSERT_TRUE(cache.acquire("a").snapshot);
-
-    insert(cache, "d", std::string(100, 'd'));
-    auto s = cache.stats();
-    EXPECT_EQ(s.evictions, 1u);
-    EXPECT_EQ(s.entries, 3u);
-    EXPECT_EQ(s.bytes, 300u);
-
-    // "b" was evicted; everything else is still resident.
-    EXPECT_TRUE(cache.acquire("a").snapshot);
-    EXPECT_TRUE(cache.acquire("c").snapshot);
-    EXPECT_TRUE(cache.acquire("d").snapshot);
-    auto evicted = cache.acquire("b");
-    EXPECT_FALSE(evicted.snapshot);
-    EXPECT_TRUE(evicted.leader);
-    cache.abandon("b");
-}
-
-TEST(SnapshotCache, EvictionNeverInvalidatesAHandedOutSnapshot)
-{
-    WarmupSnapshotCache cache(100);
-    insert(cache, "a", std::string(100, 'a'));
-    auto held = cache.acquire("a");
-    ASSERT_TRUE(held.snapshot);
-
-    // Inserting "b" evicts "a", but the shared_ptr keeps the bytes.
-    insert(cache, "b", std::string(100, 'b'));
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(*held.snapshot, std::string(100, 'a'));
-}
-
-TEST(SnapshotCache, OversizeSnapshotIsServedButNotRetained)
-{
-    WarmupSnapshotCache cache(50);
-    insert(cache, "big", std::string(1000, 'x'));
-    auto s = cache.stats();
-    EXPECT_EQ(s.entries, 0u);
-    EXPECT_EQ(s.bytes, 0u);
-    // Next acquire leads again rather than hitting.
-    auto again = cache.acquire("big");
-    EXPECT_TRUE(again.leader);
-    cache.abandon("big");
-}
-
-// ---------------------------------------------------------------------
-// Disk tier
-// ---------------------------------------------------------------------
-
-TEST(SnapshotCache, FulfilWritesThroughToTheDiskTier)
+TEST(SnapshotCache, FulfilWritesTheDirectory)
 {
     std::string dir = freshDir("snap_wt");
     WarmupSnapshotCache cache;
@@ -144,31 +65,38 @@ TEST(SnapshotCache, FulfilWritesThroughToTheDiskTier)
     EXPECT_EQ(files, 1u);
 }
 
-TEST(SnapshotCache, DiskMissPromotesIntoMemory)
+TEST(SnapshotCache, LaterCachesReadTheDirectory)
 {
-    std::string dir = freshDir("snap_promote");
+    std::string dir = freshDir("snap_read");
     {
         WarmupSnapshotCache writer;
         insert(writer, "key1", "persisted", dir);
     }
 
-    // A fresh cache (new process, conceptually) finds the file.
+    // A fresh cache (new process, conceptually) finds the file, and
+    // reads it again on every acquire: nothing stays in memory.
     WarmupSnapshotCache cache;
-    auto got = cache.acquire("key1", dir);
-    ASSERT_TRUE(got.snapshot);
-    EXPECT_TRUE(got.diskHit);
-    EXPECT_FALSE(got.leader);
-    EXPECT_EQ(*got.snapshot, "persisted");
-
-    // The load was promoted: the next acquire is a memory hit.
-    auto again = cache.acquire("key1", dir);
-    ASSERT_TRUE(again.snapshot);
-    EXPECT_FALSE(again.diskHit);
-
+    for (int i = 0; i < 2; ++i) {
+        auto got = cache.acquire("key1", dir);
+        ASSERT_TRUE(got.snapshot);
+        EXPECT_TRUE(got.diskHit);
+        EXPECT_FALSE(got.leader);
+        EXPECT_EQ(*got.snapshot, "persisted");
+    }
     auto s = cache.stats();
-    EXPECT_EQ(s.diskHits, 1u);
-    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.diskHits, 2u);
     EXPECT_EQ(s.misses, 0u);
+}
+
+TEST(SnapshotCache, WithoutADirectoryNothingOutlivesTheLease)
+{
+    WarmupSnapshotCache cache;
+    insert(cache, "a", "bytes");
+    auto again = cache.acquire("a");
+    EXPECT_FALSE(again.snapshot);
+    EXPECT_TRUE(again.leader);
+    cache.abandon("a");
+    EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -206,21 +134,21 @@ TEST(SnapshotCache, ConcurrentAcquiresElectExactlyOneLeader)
     EXPECT_EQ(sharers.load(), threads - 1);
     auto s = cache.stats();
     EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.hits, std::uint64_t(threads - 1));
-    EXPECT_EQ(s.insertions, 1u);
+    EXPECT_EQ(s.diskHits, 0u);
 }
 
 TEST(SnapshotCache, AbandonedLeaseElectsANewLeader)
 {
+    std::string dir = freshDir("snap_abandon");
     WarmupSnapshotCache cache;
-    auto first = cache.acquire("flaky");
+    auto first = cache.acquire("flaky", dir);
     ASSERT_TRUE(first.leader);
 
     std::thread waiter([&] {
         // Blocks on the first lease, then inherits it.
-        auto got = cache.acquire("flaky");
+        auto got = cache.acquire("flaky", dir);
         EXPECT_TRUE(got.leader);
-        cache.fulfil("flaky", "second-try");
+        cache.fulfil("flaky", "second-try", dir);
     });
 
     // Give the waiter time to block, then fail the first warmup.
@@ -228,8 +156,9 @@ TEST(SnapshotCache, AbandonedLeaseElectsANewLeader)
     cache.abandon("flaky");
     waiter.join();
 
-    auto got = cache.acquire("flaky");
+    auto got = cache.acquire("flaky", dir);
     ASSERT_TRUE(got.snapshot);
+    EXPECT_TRUE(got.diskHit);
     EXPECT_EQ(*got.snapshot, "second-try");
     EXPECT_EQ(cache.stats().misses, 2u);
 }

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -174,16 +173,12 @@ expectSameRecord(const TraceRecord &got, const TraceRecord &want,
 void
 roundTrip(const TraceSource &src, TraceSource &dst)
 {
-    std::ostringstream os(std::ios::binary);
-    {
-        CheckpointWriter w(os, "<trace-test>", "k");
-        w.begin("stream");
-        src.save(w);
-        w.end();
-        w.finish();
-    }
-    std::istringstream is(std::move(os).str(), std::ios::binary);
-    CheckpointReader r(is, "<trace-test>");
+    CheckpointWriter w("<trace-test>", "k");
+    w.begin("stream");
+    src.save(w);
+    w.end();
+    const std::string bytes = w.finish();
+    CheckpointReader r(bytes, "<trace-test>");
     r.begin("stream");
     dst.restore(r);
     r.end();
@@ -417,9 +412,9 @@ TEST(TraceFile, CheckpointsInTheUnbatchedLayoutRestore)
             w.u64(rec.nextPc);
             w.u64(rec.memAddr);
         };
-        std::ostringstream os(std::ios::binary);
+        std::string bytes;
         {
-            CheckpointWriter w(os, "<trace-test>", "k");
+            CheckpointWriter w("<trace-test>", "k");
             w.begin("stream");
             for (std::uint64_t v : {st.insts, st.ctis, st.condBranches,
                                     st.takenCtis, st.takenCond,
@@ -438,11 +433,10 @@ TEST(TraceFile, CheckpointsInTheUnbatchedLayoutRestore)
                 record(w, originals[i]);
             w.u64(consumed + pending); // file position
             w.end();
-            w.finish();
+            bytes = w.finish();
         }
         FileTraceStream restored(img, path);
-        std::istringstream is(std::move(os).str(), std::ios::binary);
-        CheckpointReader r(is, "<trace-test>");
+        CheckpointReader r(bytes, "<trace-test>");
         r.begin("stream");
         restored.restore(r);
         r.end();
@@ -881,18 +875,14 @@ TEST(TraceFile, CheckpointRestoreMidBlockInV2Stream)
         live.next();
     }
 
-    std::ostringstream os(std::ios::binary);
-    {
-        CheckpointWriter w(os, "<trace-test>", "k");
-        w.begin("stream");
-        live.save(w);
-        w.end();
-        w.finish();
-    }
+    CheckpointWriter w("<trace-test>", "k");
+    w.begin("stream");
+    live.save(w);
+    w.end();
+    const std::string bytes = w.finish();
 
     FileTraceStream restored(img, path);
-    std::istringstream is(std::move(os).str(), std::ios::binary);
-    CheckpointReader r(is, "<trace-test>");
+    CheckpointReader r(bytes, "<trace-test>");
     r.begin("stream");
     restored.restore(r);
     r.end();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the utility substrate: RNG determinism, saturating
- * counters, histograms, stat groups, bit helpers and the table
+ * counters, ring buffers, histograms, bit helpers and the table
  * printer.
  */
 
@@ -14,7 +14,6 @@
 #include "util/random.hh"
 #include "util/ring_buffer.hh"
 #include "util/sat_counter.hh"
-#include "util/stats.hh"
 #include "util/table.hh"
 
 namespace smt
@@ -257,30 +256,6 @@ TEST(Histogram, ResetClears)
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.overflows(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(StatGroup, CountersAndFormulasDump)
-{
-    StatGroup g("fetch");
-    Counter &c = g.addCounter("insts", "fetched instructions");
-    c += 10;
-    ++c;
-    g.addFormula("double", "twice the insts",
-                 [&c]() { return 2.0 * c.value(); });
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("fetch.insts 11"), std::string::npos);
-    EXPECT_NE(out.find("fetch.double 22"), std::string::npos);
-}
-
-TEST(StatGroup, ResetAllZeroesCounters)
-{
-    StatGroup g("x");
-    Counter &c = g.addCounter("a", "d");
-    c += 5;
-    g.resetAll();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Bitfield, MaskAndBits)

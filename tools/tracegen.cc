@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 
@@ -73,7 +74,9 @@ parseNum(const char *flag, const char *text, bool allow_hex = false)
  * Add (or refresh) the freshly-written trace in a corpus manifest,
  * creating the manifest when it does not exist yet. The listed path
  * is manifest-relative when the trace sits under the manifest's
- * directory, so the corpus stays relocatable.
+ * directory, so the corpus stays relocatable, and absolute otherwise.
+ * Both paths are compared absolute and lexically normalised, so a
+ * relative trace path matches an absolute manifest path.
  */
 void
 appendToManifest(const std::string &manifest_path,
@@ -86,13 +89,13 @@ appendToManifest(const std::string &manifest_path,
         manifest = loadCorpusManifest(manifest_path);
     }
 
-    std::string listed = trace_path;
-    std::size_t slash = manifest_path.find_last_of('/');
-    if (slash != std::string::npos) {
-        std::string dir = manifest_path.substr(0, slash + 1);
-        if (listed.rfind(dir, 0) == 0)
-            listed = listed.substr(dir.size());
-    }
+    namespace fs = std::filesystem;
+    const fs::path trace = fs::absolute(trace_path).lexically_normal();
+    const fs::path rel = trace.lexically_relative(
+        fs::absolute(manifest_path).lexically_normal().parent_path());
+    const bool under = !rel.empty() && *rel.begin() != "..";
+    const std::string listed =
+        (under ? rel : trace).generic_string();
 
     CorpusEntry entry = describeTrace(trace_path, listed);
     bool replaced = false;
