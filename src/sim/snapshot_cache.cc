@@ -56,14 +56,16 @@ WarmupSnapshotCache::acquire(const std::string &key,
             std::shared_ptr<Inflight> state = inf->second;
             cv.wait(lock, [&] { return state->done; });
             if (state->snapshot)
-                return Acquired{state->snapshot, false, false};
+                return Acquired{state->snapshot, state->diskHit, false};
             continue; // leader abandoned; retry (maybe lead)
         }
 
         // Miss: this caller leads. Register the lease before any
         // disk I/O so concurrent callers wait instead of racing the
         // file read.
-        inflight.emplace(key, std::make_shared<Inflight>());
+        auto state = std::make_shared<Inflight>();
+        inflight.emplace(key, state);
+        const bool own_warmup = warmed.count(key) != 0;
         lock.unlock();
 
         if (!disk_dir.empty()) {
@@ -72,9 +74,13 @@ WarmupSnapshotCache::acquire(const std::string &key,
                 auto snapshot = std::make_shared<const std::string>(
                     std::move(bytes));
                 lock.lock();
-                ++counters.diskHits;
+                // Reading back this cache's own warmup is the same
+                // share a concurrent waiter gets, not a disk hit.
+                state->diskHit = !own_warmup;
+                if (state->diskHit)
+                    ++counters.diskHits;
                 settleLocked(key, snapshot);
-                return Acquired{snapshot, true, false};
+                return Acquired{snapshot, state->diskHit, false};
             }
         }
 
@@ -140,6 +146,7 @@ WarmupSnapshotCache::fulfil(const std::string &key,
     std::lock_guard<std::mutex> lock(m);
     if (persistFailed)
         ++counters.persistFailures;
+    warmed.insert(key);
     settleLocked(key, std::move(shared));
 }
 

@@ -16,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace smt
 {
@@ -27,8 +28,9 @@ namespace smt
  * Snapshots live in a directory of `smtckpt_<confighash>.ckpt`
  * files, read on acquire and written on fulfil. The directory is a
  * per-call parameter, so one shared cache can serve requests with
- * different (or no) directories. Nothing is retained in memory
- * beyond the snapshots callers hold.
+ * different (or no) directories. No snapshot is retained in memory
+ * beyond the ones callers hold; the cache keeps only the keys of
+ * the warmups it ran, to tell disk hits from its own snapshots.
  *
  * Warmup de-duplication uses single-flight leases: the first caller
  * to miss a key becomes its *leader* (Acquired::leader) and must
@@ -45,8 +47,9 @@ class WarmupSnapshotCache
     /** Counters since construction. */
     struct Stats
     {
-        std::uint64_t diskHits = 0; //!< leader loads from the directory
-        std::uint64_t misses = 0;   //!< leases granted (warmups led)
+        /** Directory loads of warmups this cache did not run. */
+        std::uint64_t diskHits = 0;
+        std::uint64_t misses = 0; //!< leases granted (warmups led)
 
         /** Directory persists that failed (write or rename error,
          *  e.g. a full or cross-filesystem checkpoint directory).
@@ -60,7 +63,12 @@ class WarmupSnapshotCache
         /** Non-null on a hit: restore from this and go. */
         SnapshotPtr snapshot;
 
-        /** The hit was served by loading the directory. */
+        /**
+         * The snapshot came from the directory and not from a warmup
+         * this cache ran: a load by this caller, or by the lease
+         * leader this caller waited on. Counted the same whichever
+         * of two points sharing a key reached the lease first.
+         */
         bool diskHit = false;
 
         /**
@@ -103,6 +111,7 @@ class WarmupSnapshotCache
     struct Inflight
     {
         bool done = false;
+        bool diskHit = false; //!< snapshot is a directory hit
         SnapshotPtr snapshot; //!< null when abandoned
     };
 
@@ -113,6 +122,9 @@ class WarmupSnapshotCache
     std::condition_variable cv;
     std::unordered_map<std::string, std::shared_ptr<Inflight>>
         inflight;
+    /** Keys whose warmup this cache ran and fulfilled: a later load
+     *  of one from the directory reads back that warmup. */
+    std::unordered_set<std::string> warmed;
     Stats counters;
 };
 

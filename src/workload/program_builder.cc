@@ -68,7 +68,7 @@ class Builder
 
         BenchmarkImage img{profile,
                            StaticProgram(profile.name, codeBase),
-                           {}, {}, {}, dataBase, dataBytes};
+                           {}, {}, {}, dataBase, dataBytes, sizeScale};
 
         for (const auto &spec : specs)
             img.program.appendBlock(materialize(spec, img), spec.funcId);
@@ -524,8 +524,8 @@ buildImage(const BenchmarkProfile &profile, Addr code_base,
     // average is within tolerance of the profile target.
     double scale = 1.0;
     for (int iter = 0; ; ++iter) {
-        Builder b(profile, code_base, data_base, seed, scale);
-        BenchmarkImage img = b.build();
+        BenchmarkImage img =
+            buildImageAtScale(profile, code_base, data_base, seed, scale);
 
         if (iter >= 4)
             return img;
@@ -545,6 +545,13 @@ buildImage(const BenchmarkProfile &profile, Addr code_base,
         if (scale > 4.0)
             scale = 4.0;
     }
+}
+
+BenchmarkImage
+buildImageAtScale(const BenchmarkProfile &profile, Addr code_base,
+                  Addr data_base, std::uint64_t seed, double size_scale)
+{
+    return Builder(profile, code_base, data_base, seed, size_scale).build();
 }
 
 } // namespace smt

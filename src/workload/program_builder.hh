@@ -42,14 +42,28 @@ struct BenchmarkImage
 
     /** Size of the data region in bytes. */
     Addr dataBytes = 0;
+
+    /**
+     * Scale applied to the profile's mean static block size when the
+     * image was built: the value buildImage's calibration settled on,
+     * or the one passed to buildImageAtScale. Rebuilding with the same
+     * profile, bases, seed and scale reproduces this image exactly.
+     */
+    double sizeScale = 1.0;
 };
 
 /**
- * Build a benchmark image.
+ * Build a benchmark image, calibrating its block-size scale.
  *
- * The construction is fully deterministic in (profile.name, seed); two
- * builds with identical arguments produce identical programs and
- * traces.
+ * The builder is rerun (up to five passes, each after a 200k-record
+ * probe of the previous image) until the dynamic average basic-block
+ * size is within 3% of profile.avgBlockSize. The result equals
+ * buildImageAtScale(profile, code_base, data_base, seed,
+ * result.sizeScale).
+ *
+ * The construction is fully deterministic in (profile, code_base,
+ * data_base, seed); two builds with identical arguments produce
+ * identical programs and traces.
  *
  * @param profile Benchmark parameterization.
  * @param code_base First code address (per-thread distinct).
@@ -58,6 +72,15 @@ struct BenchmarkImage
  */
 BenchmarkImage buildImage(const BenchmarkProfile &profile, Addr code_base,
                           Addr data_base, std::uint64_t seed = 0);
+
+/**
+ * Build a benchmark image in one builder pass at a given block-size
+ * scale, with no calibration probe. Deterministic in (profile,
+ * code_base, data_base, seed, size_scale).
+ */
+BenchmarkImage buildImageAtScale(const BenchmarkProfile &profile,
+                                 Addr code_base, Addr data_base,
+                                 std::uint64_t seed, double size_scale);
 
 } // namespace smt
 

@@ -11,6 +11,7 @@
 
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
+#include "workload/profiles.hh"
 
 namespace smt
 {
@@ -897,7 +898,17 @@ TraceReader::fail(const std::string &what) const
 TraceFileHeader
 readTraceHeader(const std::string &path)
 {
-    return TraceReader(path, /*header_only=*/true).header();
+    TraceFileHeader hdr = TraceReader(path, /*header_only=*/true).header();
+    std::string known;
+    for (const auto &p : allProfiles()) {
+        if (p.name == hdr.benchmark)
+            return hdr;
+        known += (known.empty() ? "" : ", ") + p.name;
+    }
+    throw TraceFileError(csprintf(
+        "%s: trace was recorded for unknown benchmark \"%s\" "
+        "(known: %s)",
+        path.c_str(), hdr.benchmark.c_str(), known.c_str()));
 }
 
 // -------------------------------------------------------- file stream

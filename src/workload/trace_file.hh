@@ -281,7 +281,11 @@ class TraceReader
     std::vector<PackedTraceRecord> textRecords;
 };
 
-/** Parse just the header of a trace file (workload construction). */
+/**
+ * Parse just the header of a trace file (workload construction).
+ * TraceFileError, naming the file, when it is unreadable or malformed
+ * or when its benchmark is not one of allProfiles().
+ */
 TraceFileHeader readTraceHeader(const std::string &path);
 
 /**

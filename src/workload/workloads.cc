@@ -1,6 +1,10 @@
 #include "workload/workloads.hh"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <tuple>
 
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -18,6 +22,44 @@ constexpr Addr codeStride = 0x0100'0000;   // 16 MB of code space/thread
 constexpr Addr codeBase0 = 0x0040'0000;
 constexpr Addr dataStride = 0x1000'0000;   // 256 MB of data space/thread
 constexpr Addr dataBase0 = 0x4000'0000;
+
+/**
+ * buildImage for a named benchmark, calibrating each (benchmark, code
+ * base, data base, seed) once per process. Sweeps construct many
+ * simulators from few distinct images, and calibration costs up to
+ * five builder passes and four probe streams; a later build of the
+ * same key is one builder pass at the remembered scale, which yields
+ * the same image because buildImage returns exactly
+ * buildImageAtScale(...) at the scale it settled on. Only the scales
+ * are kept, never the images.
+ */
+BenchmarkImage
+calibratedImage(const std::string &benchmark, Addr code_base,
+                Addr data_base, std::uint64_t seed)
+{
+    using Key = std::tuple<std::string, Addr, Addr, std::uint64_t>;
+    static std::mutex mutex;
+    static std::map<Key, double> scales;
+
+    const BenchmarkProfile &profile = profileFor(benchmark);
+    const Key key{benchmark, code_base, data_base, seed};
+    std::optional<double> scale;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = scales.find(key);
+        if (it != scales.end())
+            scale = it->second;
+    }
+    if (scale)
+        return buildImageAtScale(profile, code_base, data_base, seed,
+                                 *scale);
+    // Build outside the lock: concurrent misses on one key each
+    // calibrate, and settle on the same scale.
+    BenchmarkImage img = buildImage(profile, code_base, data_base, seed);
+    std::lock_guard<std::mutex> lock(mutex);
+    scales.emplace(key, img.sizeScale);
+    return img;
+}
 
 } // namespace
 
@@ -125,8 +167,8 @@ buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
             // profile, bases and seed — all carried by the header).
             TraceFileHeader hdr = readTraceHeader(spec.traces[t]);
             out.images.push_back(std::make_unique<BenchmarkImage>(
-                buildImage(profileFor(hdr.benchmark), hdr.codeBase,
-                           hdr.dataBase, hdr.seed)));
+                calibratedImage(hdr.benchmark, hdr.codeBase, hdr.dataBase,
+                                hdr.seed)));
             continue;
         }
         const auto &prof = profileFor(spec.benchmarks[t]);
@@ -140,7 +182,7 @@ buildWorkload(const WorkloadSpec &spec, std::uint64_t seed)
                     static_cast<Addr>(t) * 31 * 64 +
                     (Rng::hashString(prof.name) % 53) * 64 * 8;
         out.images.push_back(std::make_unique<BenchmarkImage>(
-            buildImage(prof, code, data, seed)));
+            calibratedImage(prof.name, code, data, seed)));
     }
     return out;
 }

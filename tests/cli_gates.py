@@ -4,7 +4,8 @@
 Each subcommand drives the built binaries through their flags, files
 and exit codes and checks one determinism or robustness invariant:
 
-  record_replay       a recorded run replays to the same results
+  record_replay       a recorded run replays to the same results, and
+                      a trace naming an unknown benchmark exits 2
   checkpoint_engines  --checkpoint-dir round trip, per engine: a warm
                       run restores the cold run's snapshot and matches
                       the plain run
@@ -141,6 +142,17 @@ def record_replay(g):
             )
     print(f"record/replay identical in {len(a) - 1} fields:",
           a["ipfc"], a["ipc"])
+
+    # A trace whose header names a benchmark this build does not model
+    # is a bad input file: exit 2 with the path and the known names.
+    data = (g.work / "gzip.trc").read_bytes()
+    (g.work / "gzzz.trc").write_bytes(data.replace(b"gzip", b"gzzz", 1))
+    g.write_spec("unknown.json", spec("unknown", [{"trace": "gzzz.trc"}]))
+    err = g.smt("--quiet", "--no-json", "unknown.json", expect_rc=2).stderr
+    check("gzzz.trc" in err and 'unknown benchmark "gzzz"' in err
+          and "known: gzip" in err,
+          f"unknown-benchmark trace error is not actionable:\n{err}")
+    print("unknown benchmark rejected:", err.strip())
 
 
 def checkpoint_engines(g):

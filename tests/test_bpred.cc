@@ -317,8 +317,9 @@ TEST_P(EngineTest, BlocksChainContiguously)
         ASSERT_EQ(b.start, pc);
         ASSERT_NE(b.nextFetchPc, invalidAddr);
         // Not-taken predictions continue sequentially.
-        if (!b.predTaken)
+        if (!b.predTaken) {
             ASSERT_EQ(b.nextFetchPc, b.fallThrough());
+        }
         pc = b.nextFetchPc;
     }
 }

@@ -145,7 +145,7 @@ TEST(CycleSkipEquivalence, SkipOnMatchesSkipOffAcrossAllConfigs)
     std::uint64_t total_skipped = 0;
     std::size_t specs_checked = 0;
 
-    for (const std::string &name :
+    for (const std::string name :
          {"ablation_engines", "ablation_flush", "ablation_ftq",
           "ablation_policy", "ablation_predictor_size",
           "fig2_single_thread", "fig4_two_threads", "fig5_ilp",

@@ -1,7 +1,8 @@
 /**
  * @file
  * WarmupSnapshotCache unit tests: the checkpoint directory (written
- * on fulfil, read by later caches, nothing retained in memory) and
+ * on fulfil, read by later caches, no snapshot retained in memory,
+ * disk hits counted only for warmups the cache did not run) and
  * the single-flight warmup leases that make a popular key's warmup
  * run exactly once across concurrent callers.
  */
@@ -88,6 +89,22 @@ TEST(SnapshotCache, LaterCachesReadTheDirectory)
     EXPECT_EQ(s.misses, 0u);
 }
 
+TEST(SnapshotCache, ReadingBackItsOwnWarmupIsNotADiskHit)
+{
+    // A second point of a key that arrives after the leader settled
+    // reads the leader's file; one that arrived earlier shared it.
+    // Both are this cache's warmup, so neither is a disk hit, and a
+    // sweep's count does not depend on which one happened.
+    std::string dir = freshDir("snap_own");
+    WarmupSnapshotCache cache;
+    insert(cache, "key1", "warm", dir);
+    auto got = cache.acquire("key1", dir);
+    ASSERT_TRUE(got.snapshot);
+    EXPECT_EQ(*got.snapshot, "warm");
+    EXPECT_FALSE(got.diskHit);
+    EXPECT_EQ(cache.stats().diskHits, 0u);
+}
+
 TEST(SnapshotCache, WithoutADirectoryNothingOutlivesTheLease)
 {
     WarmupSnapshotCache cache;
@@ -156,7 +173,9 @@ TEST(SnapshotCache, AbandonedLeaseElectsANewLeader)
     cache.abandon("flaky");
     waiter.join();
 
-    auto got = cache.acquire("flaky", dir);
+    // A later cache finds the second leader's snapshot on disk.
+    WarmupSnapshotCache later;
+    auto got = later.acquire("flaky", dir);
     ASSERT_TRUE(got.snapshot);
     EXPECT_TRUE(got.diskHit);
     EXPECT_EQ(*got.snapshot, "second-try");

@@ -1038,3 +1038,38 @@ TEST(TraceFile, TraceWorkloadSpecHelpers)
     expectTraceError([] { traceWorkload("2_MIX"); },
                      "not a trace workload");
 }
+
+/** EXPECT readTraceHeader and traceWorkload to reject `path` for its
+ *  unknown benchmark `name`, naming the file and the known ones. */
+void
+expectUnknownBenchmark(const std::string &path, const std::string &name)
+{
+    const std::string named =
+        path + ": trace was recorded for unknown benchmark \"" + name;
+    expectTraceError([&] { readTraceHeader(path); }, named);
+    expectTraceError([&] { readTraceHeader(path); }, "(known: gzip, ");
+    expectTraceError([&] { traceWorkload("trace:" + path); }, named);
+}
+
+TEST(TraceFile, UnknownBenchmarkInABinaryHeaderIsActionable)
+{
+    SmallTrace t = makeSmallTrace(gzipImage());
+    std::string bytes = t.bytes;
+    const std::size_t at = bytes.find("gzip");
+    ASSERT_NE(at, std::string::npos);
+    bytes.replace(at, 4, "gzzz");
+    std::string path = tempPath("gzzz.trc");
+    writeFile(path, bytes);
+    expectUnknownBenchmark(path, "gzzz");
+}
+
+TEST(TraceFile, UnknownBenchmarkInATextHeaderIsActionable)
+{
+    std::string path = tempPath("nosuch.strc");
+    writeFile(path, "strc v1\n"
+                    "benchmark nosuch\n"
+                    "codeBase 0x400000\n"
+                    "dataBase 0x40000000\n"
+                    "r 0x400000 0x400004 alu - 2\n");
+    expectUnknownBenchmark(path, "nosuch");
+}

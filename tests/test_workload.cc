@@ -6,21 +6,109 @@
  * within tolerance for all 12 SPECint2000 models).
  */
 
+#include <map>
 #include <set>
+#include <thread>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "sim/checkpoint.hh"
 #include "workload/branch_model.hh"
 #include "workload/memory_model.hh"
 #include "workload/profiles.hh"
 #include "workload/program_builder.hh"
 #include "workload/trace.hh"
+#include "workload/trace_file.hh"
 #include "workload/workloads.hh"
 
 namespace smt
 {
 namespace
 {
+
+/**
+ * A model table's observable content: each model's first draws from a
+ * copy (which depend on its whole static shape), then the checkpoint
+ * bytes of its mutable state after those draws.
+ */
+template <typename Model, typename Draw>
+std::string
+modelFingerprint(const std::vector<Model> &models, Draw draw)
+{
+    CheckpointWriter w("<image-test>", "models");
+    w.begin("models");
+    for (Model m : models) {
+        for (int i = 0; i < 8; ++i)
+            w.u64(draw(m, i));
+        m.save(w);
+    }
+    w.end();
+    return w.finish();
+}
+
+std::string
+branchFingerprint(const BenchmarkImage &img)
+{
+    return modelFingerprint(img.branchModels, [](BranchModel &m, int i) {
+        return std::uint64_t(m.next(0x5a5aULL * i, 0x1234ULL << i));
+    });
+}
+
+std::string
+indirectFingerprint(const BenchmarkImage &img)
+{
+    return modelFingerprint(img.indirectModels,
+                            [](IndirectModel &m, int) { return m.next(); });
+}
+
+std::string
+memoryFingerprint(const BenchmarkImage &img)
+{
+    return modelFingerprint(img.memModels,
+                            [](MemoryModel &m, int) { return m.next(); });
+}
+
+/** EXPECT two images equal in every field. */
+void
+expectSameImage(const BenchmarkImage &a, const BenchmarkImage &b)
+{
+    SCOPED_TRACE(a.profile.name);
+    EXPECT_EQ(a.profile.name, b.profile.name);
+    EXPECT_EQ(a.program.name(), b.program.name());
+    EXPECT_EQ(a.program.base(), b.program.base());
+    EXPECT_EQ(a.program.entry(), b.program.entry());
+    EXPECT_EQ(a.program.numBlocks(), b.program.numBlocks());
+    EXPECT_EQ(a.program.numFunctions(), b.program.numFunctions());
+    ASSERT_EQ(a.program.numInsts(), b.program.numInsts());
+    for (Addr pc = a.program.base(); pc < a.program.limit();
+         pc += instBytes) {
+        const StaticInst &x = *a.program.lookup(pc);
+        const StaticInst &y = *b.program.lookup(pc);
+        ASSERT_TRUE(x.pc == y.pc && x.op == y.op && x.src1 == y.src1 &&
+                    x.src2 == y.src2 && x.dst == y.dst &&
+                    x.target == y.target && x.modelId == y.modelId &&
+                    x.blockIndex == y.blockIndex)
+            << "static instructions differ at pc 0x" << std::hex << pc;
+    }
+    ASSERT_EQ(a.branchModels.size(), b.branchModels.size());
+    ASSERT_EQ(a.indirectModels.size(), b.indirectModels.size());
+    ASSERT_EQ(a.memModels.size(), b.memModels.size());
+    EXPECT_EQ(branchFingerprint(a), branchFingerprint(b));
+    EXPECT_EQ(indirectFingerprint(a), indirectFingerprint(b));
+    EXPECT_EQ(memoryFingerprint(a), memoryFingerprint(b));
+    EXPECT_EQ(a.dataBase, b.dataBase);
+    EXPECT_EQ(a.dataBytes, b.dataBytes);
+    EXPECT_EQ(a.sizeScale, b.sizeScale);
+}
+
+/** A fresh calibration of the image a workload thread was given. */
+BenchmarkImage
+freshBuild(const BenchmarkImage &img, std::uint64_t seed)
+{
+    return buildImage(profileFor(img.profile.name), img.program.base(),
+                      img.dataBase, seed);
+}
 
 TEST(BranchModelTest, BiasedRateMatches)
 {
@@ -162,11 +250,15 @@ TEST(BuilderTest, DeterministicForSameSeed)
 {
     auto a = buildImage(profileFor("gzip"), 0x400000, 0x40000000, 1);
     auto b = buildImage(profileFor("gzip"), 0x400000, 0x40000000, 1);
-    ASSERT_EQ(a.program.numInsts(), b.program.numInsts());
-    for (std::size_t i = 0; i < a.program.numInsts(); i += 97) {
-        Addr pc = a.program.base() + i * instBytes;
-        EXPECT_EQ(a.program.lookup(pc)->op, b.program.lookup(pc)->op);
-    }
+    expectSameImage(a, b);
+}
+
+TEST(BuilderTest, CalibratedImageIsOnePassAtItsScale)
+{
+    auto a = buildImage(profileFor("mcf"), 0x400000, 0x40000000, 3);
+    auto b = buildImageAtScale(profileFor("mcf"), 0x400000, 0x40000000, 3,
+                               a.sizeScale);
+    expectSameImage(a, b);
 }
 
 TEST(BuilderTest, ProgramsAreSubstantial)
@@ -317,6 +409,89 @@ TEST(WorkloadsTest, SingleWorkloadHelper)
     WorkloadImages w = buildSingle("gzip");
     EXPECT_EQ(w.numThreads(), 1u);
     EXPECT_EQ(w.images[0]->profile.name, "gzip");
+}
+
+TEST(WorkloadsTest, RememberedCalibrationMatchesAFreshOne)
+{
+    // The first build of each workload calibrates (or hits scales an
+    // earlier test left); the second is a memo hit for every thread.
+    // Both must equal a fresh calibration. Thread slots repeat across
+    // the Table 2 mixes, so each distinct image is built fresh once.
+    using Key = std::tuple<std::string, Addr, Addr>;
+    std::map<Key, BenchmarkImage> fresh;
+    for (const auto &spec : table2Workloads()) {
+        SCOPED_TRACE(spec.name);
+        WorkloadImages first = buildWorkload(spec);
+        WorkloadImages second = buildWorkload(spec);
+        ASSERT_EQ(second.numThreads(), spec.benchmarks.size());
+        for (unsigned t = 0; t < second.numThreads(); ++t) {
+            const BenchmarkImage &img = *second.images[t];
+            Key key{img.profile.name, img.program.base(), img.dataBase};
+            auto it = fresh.find(key);
+            if (it == fresh.end())
+                it = fresh.emplace(key, freshBuild(img, 0)).first;
+            expectSameImage(it->second, img);
+            expectSameImage(*first.images[t], img);
+        }
+    }
+}
+
+TEST(WorkloadsTest, ReplayedThreadGetsTheRecordedImage)
+{
+    WorkloadSpec spec = workloadFor("2_MIX");
+    const std::uint64_t seed = 5;
+    WorkloadImages synthetic = buildWorkload(spec, seed);
+
+    // Record a few records of thread 1 (twolf) against its image.
+    const BenchmarkImage &img = *synthetic.images[1];
+    const std::string path = ::testing::TempDir() + "memo_twolf.trc";
+    {
+        TraceFileHeader hdr;
+        hdr.benchmark = img.profile.name;
+        hdr.seed = seed;
+        hdr.codeBase = img.program.base();
+        hdr.dataBase = img.dataBase;
+        TraceWriter writer(path, hdr);
+        SyntheticTraceStream stream(img);
+        stream.setRecorder(&writer);
+        for (int i = 0; i < 100; ++i)
+            stream.next();
+        writer.close();
+    }
+
+    spec.traces = {"", path};
+    WorkloadImages replayed = buildWorkload(spec, seed);
+    ASSERT_EQ(replayed.numThreads(), 2u);
+    expectSameImage(*synthetic.images[0], *replayed.images[0]);
+    expectSameImage(*synthetic.images[1], *replayed.images[1]);
+    expectSameImage(freshBuild(img, seed), *replayed.images[1]);
+}
+
+TEST(WorkloadsTest, ConcurrentCalibrationMatchesASerialBuild)
+{
+    // No other test builds at this seed, so the memo starts cold for
+    // every image here and the four threads race to calibrate them.
+    const std::uint64_t seed = 0xc0ffee;
+    const std::vector<std::string> names = {"8_ILP", "8_MIX"};
+    std::vector<std::vector<WorkloadImages>> built(4);
+    std::vector<std::thread> threads;
+    for (auto &out : built)
+        threads.emplace_back([&names, &out, seed] {
+            for (const auto &name : names)
+                out.push_back(buildWorkload(workloadFor(name), seed));
+        });
+    for (auto &t : threads)
+        t.join();
+
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        SCOPED_TRACE(names[w]);
+        const WorkloadImages &ref = built[0][w];
+        for (unsigned t = 0; t < ref.numThreads(); ++t) {
+            BenchmarkImage serial = freshBuild(*ref.images[t], seed);
+            for (const auto &out : built)
+                expectSameImage(serial, *out[w].images[t]);
+        }
+    }
 }
 
 } // namespace
