@@ -4,11 +4,9 @@
  * are fetch throughput (IPFC: instructions provided by the fetch unit
  * per fetch cycle, wrong path included) and commit throughput (IPC).
  *
- * SimStats is the plain value-semantics view kept for source
- * compatibility (benches and tests copy it freely); the authoritative
- * naming and emission layer is the StatsRegistry, into which each
- * pipeline stage registers the fields it owns (see
- * core/stages/<stage>.cc and SmtCore::registerStats).
+ * SimStats is the storage the core's counters live in: the stages
+ * bump its fields directly, and SmtCore::registerStats points the
+ * StatsRegistry (the naming and emission layer) at each of them.
  */
 
 #ifndef SMTFETCH_CORE_SIM_STATS_HH

@@ -4,15 +4,6 @@
 
 #include "sim/checkpoint.hh"
 
-#include "core/stages/commit_stage.hh"
-#include "core/stages/decode_stage.hh"
-#include "core/stages/dispatch_stage.hh"
-#include "core/stages/execute_stage.hh"
-#include "core/stages/fetch_stage.hh"
-#include "core/stages/issue_stage.hh"
-#include "core/stages/predict_stage.hh"
-#include "core/stages/rename_stage.hh"
-#include "core/stages/writeback_stage.hh"
 #include "util/logging.hh"
 
 namespace smt
@@ -35,31 +26,15 @@ SmtCore::SmtCore(const CoreParams &params)
       exec(coreParams, memHierarchy),
       front(std::make_unique<FrontEnd>(coreParams, *fetchEngine,
                                        memHierarchy, *fetchPolicy, rob,
-                                       simStats)),
-      state(coreParams, memHierarchy, *fetchEngine, rob, rename, iqs,
-            exec, *front, simStats)
+                                       simStats))
 {
     coreParams.validate();
-    state.commitHook = &commitHook;
-    buildStages();
+    fetchBuffer.setCapacity(coreParams.fetchBufferSize);
+    for (auto &q : decodeQ)
+        q.setCapacity(coreParams.decodeWidth);
+    for (auto &q : renameQ)
+        q.setCapacity(coreParams.decodeWidth);
     registerStats();
-}
-
-void
-SmtCore::buildStages()
-{
-    // Back-of-pipe first: each stage consumes what its upstream
-    // neighbour produced on an earlier cycle, so no latch
-    // double-buffering is needed.
-    graph.add(std::make_unique<ExecuteStage>(state));
-    graph.add(std::make_unique<WritebackStage>(state));
-    graph.add(std::make_unique<CommitStage>(state));
-    graph.add(std::make_unique<IssueStage>(state));
-    graph.add(std::make_unique<DispatchStage>(state));
-    graph.add(std::make_unique<RenameStage>(state));
-    graph.add(std::make_unique<DecodeStage>(state));
-    graph.add(std::make_unique<FetchStage>(state));
-    graph.add(std::make_unique<PredictStage>(state));
 }
 
 void
@@ -100,7 +75,76 @@ SmtCore::registerStats()
             [this, tid]() { return simStats.threadIpc(tid); });
     }
 
-    graph.registerStats(statsRegistry);
+    StatsRegistry &reg = statsRegistry;
+    reg.addCounter("writeback.mispredictsResolved",
+                   "mispredictions resolved at execute",
+                   &simStats.mispredictsResolved);
+    reg.addCounter("writeback.mispredCond",
+                   "mispredicted conditional branches",
+                   &simStats.mispredCond);
+    reg.addCounter("writeback.mispredJump", "mispredicted direct jumps",
+                   &simStats.mispredJump);
+    reg.addCounter("writeback.mispredCall", "mispredicted direct calls",
+                   &simStats.mispredCall);
+    reg.addCounter("writeback.mispredReturn", "mispredicted returns",
+                   &simStats.mispredReturn);
+    reg.addCounter("writeback.mispredIndirect",
+                   "mispredicted indirect jumps",
+                   &simStats.mispredIndirect);
+
+    reg.addCounter("commit.insts", "instructions committed",
+                   &simStats.instsCommitted);
+    reg.addCounter("commit.ctis", "committed control instructions",
+                   &simStats.committedCtis);
+    reg.addCounter("commit.cond", "committed conditional branches",
+                   &simStats.committedCond);
+    reg.addCounter("commit.taken", "committed taken CTIs",
+                   &simStats.committedTaken);
+    reg.addCounter("commit.loads", "committed loads",
+                   &simStats.committedLoads);
+    reg.addCounter("commit.stores", "committed stores",
+                   &simStats.committedStores);
+    for (unsigned t = 0; t < coreParams.numThreads; ++t) {
+        reg.addCounter(csprintf("commit.thread%u.insts", t),
+                       csprintf("instructions committed by thread %u", t),
+                       &simStats.threadCommitted[t]);
+    }
+
+    reg.addCounter("issue.insts", "instructions issued",
+                   &simStats.issued);
+    reg.addCounter("issue.longLoadEvents",
+                   "long-latency-load policy activations",
+                   &simStats.longLoadEvents);
+    reg.addCounter("dispatch.insts", "instructions dispatched",
+                   &simStats.dispatched);
+    reg.addCounter("decode.bogusRedirects",
+                   "bogus block ends repaired at decode",
+                   &simStats.bogusRedirects);
+
+    reg.addCounter("fetch.cycles", "cycles with >= 1 fetch request",
+                   &simStats.fetchCycles);
+    reg.addCounter("fetch.insts",
+                   "instructions delivered (wrong path included)",
+                   &simStats.instsFetched);
+    reg.addCounter("fetch.wrongPathInsts",
+                   "wrong-path instructions delivered",
+                   &simStats.wrongPathFetched);
+    reg.addCounter("fetch.bankConflicts",
+                   "I-cache bank conflicts (wasted ports)",
+                   &simStats.bankConflicts);
+    reg.addCounter("fetch.icacheBlockEvents",
+                   "I-cache misses that blocked a thread",
+                   &simStats.icacheBlockEvents);
+    reg.addCounter("fetch.bufferFullCycles",
+                   "cycles fetch stalled on a full fetch buffer",
+                   &simStats.fetchBufferFullCycles);
+    reg.addHistogram("fetch.widthHist",
+                     "instructions delivered per fetch cycle",
+                     &simStats.fetchWidthHist);
+    reg.addCounter("predict.blockPredictions",
+                   "fetch-block predictions pushed into FTQs",
+                   &simStats.blockPredictions);
+
     fetchEngine->registerStats(statsRegistry);
     memHierarchy.registerStats(statsRegistry, coreParams.numThreads);
 }
@@ -117,8 +161,17 @@ SmtCore::setThread(ThreadID tid, TraceSource *trace,
 void
 SmtCore::cycle()
 {
-    graph.tick();
-    ++state.currentCycle;
+    // Back-of-pipe first (see the stage declarations).
+    executeStage();
+    writebackStage();
+    commitStage();
+    issueStage();
+    dispatchStage();
+    renameStage();
+    decodeStage();
+    front->fetchStage(currentCycle, icounts.data(), fetchBuffer);
+    front->predictionStage(currentCycle, icounts.data());
+    ++currentCycle;
     ++simStats.cycles;
 }
 
@@ -135,33 +188,15 @@ SmtCore::quiescentAt(Cycle now)
     for (unsigned t = 0; t < n; ++t) {
         ThreadID tid = static_cast<ThreadID>(t);
 
-        // Commit: a Done ROB head retires this cycle.
-        if (!rob.empty(tid) && rob.head(tid).stage == InstStage::Done)
-            return false;
-
-        // Decode: fetch buffer drains into a non-full decode latch.
-        if (state.fetchBuffer.front(tid) != nullptr &&
-            state.decodeQ[t].size() < coreParams.decodeWidth)
-            return false;
-
-        // Rename: decode latch drains into a non-full rename latch.
-        if (!state.decodeQ[t].empty() &&
-            state.renameQ[t].size() < coreParams.decodeWidth)
+        // Commit, decode or rename moves an instruction.
+        if (canCommit(tid) || canDecode(tid) || canRename(tid))
             return false;
 
         // Dispatch: the thread's head instruction moves unless it
-        // hits a structural hazard (mirrors DispatchStage::tick).
-        if (!state.renameQ[t].empty()) {
-            DynInst *inst = state.renameQ[t].front();
-            bool needs_reg =
-                inst->si != nullptr && inst->si->dst != invalidReg;
-            bool blocked =
-                state.robCount[t] >= coreParams.robEntries ||
-                !iqs.hasSpace(iqClassFor(inst->op)) ||
-                (needs_reg && !rename.canAllocate(usesFpRegs(inst->op)));
-            if (!blocked)
-                return false;
-        }
+        // hits a structural hazard.
+        if (!renameQ[t].empty() &&
+            !dispatchBlocked(tid, *renameQ[t].front()))
+            return false;
     }
 
     // Predict: some thread is eligible for a block prediction.
@@ -171,7 +206,7 @@ SmtCore::quiescentAt(Cycle now)
     // Fetch: with room for a fetch group, some thread would access
     // the I-cache. (Buffer-full cycles only bump a counter, which
     // skipTo folds across the span.)
-    if (state.fetchBuffer.free() >= coreParams.fetchWidth &&
+    if (fetchBuffer.free() >= coreParams.fetchWidth &&
         !front->fetchQuiescent(now))
         return false;
 
@@ -194,20 +229,18 @@ SmtCore::nextWakeCycle(Cycle now, Cycle limit) const
 void
 SmtCore::skipTo(Cycle target)
 {
-    const Cycle span = target - state.currentCycle;
+    const Cycle span = target - currentCycle;
     const unsigned n = coreParams.numThreads;
 
-    state.currentCycle = target;
+    currentCycle = target;
     simStats.cycles += span;
 
     // Fold the per-tick side effects of the otherwise-dead stages:
     // the commit/front rotation counters advance unconditionally,
     // and a full fetch buffer charges fetchBufferFullCycles.
-    state.commitRotate =
-        static_cast<unsigned>((state.commitRotate + span) % n);
-    state.frontRotate =
-        static_cast<unsigned>((state.frontRotate + span) % n);
-    if (state.fetchBuffer.free() < coreParams.fetchWidth)
+    commitRotate = static_cast<unsigned>((commitRotate + span) % n);
+    frontRotate = static_cast<unsigned>((frontRotate + span) % n);
+    if (fetchBuffer.free() < coreParams.fetchWidth)
         simStats.fetchBufferFullCycles += span;
 
     simStats.cyclesSkipped += span;
@@ -224,14 +257,14 @@ SmtCore::run(Cycle cycles)
             cycle();
         return;
     }
-    const Cycle end = state.currentCycle + cycles;
-    while (state.currentCycle < end) {
-        if (quiescentAt(state.currentCycle)) {
+    const Cycle end = currentCycle + cycles;
+    while (currentCycle < end) {
+        if (quiescentAt(currentCycle)) {
             // Nothing can happen until the next event; jump there
             // (clamped to the window so a run() boundary — e.g. the
             // warmup/measure split — lands on the same cycle as the
             // ticked loop would).
-            skipTo(nextWakeCycle(state.currentCycle, end));
+            skipTo(nextWakeCycle(currentCycle, end));
             continue;
         }
         cycle();
@@ -250,17 +283,15 @@ SmtCore::resetStats()
 void
 SmtCore::dumpPipeline(std::ostream &os) const
 {
-    Rob &mrob = const_cast<Rob &>(rob);
-    RenameUnit &mren = const_cast<RenameUnit &>(rename);
     static const char *stage_names[] = {"Fetched", "Decoded",
                                         "Renamed", "Dispatched",
                                         "Issued", "Done"};
     for (unsigned t = 0; t < coreParams.numThreads; ++t) {
         ThreadID tid = static_cast<ThreadID>(t);
-        os << "thread " << t << " inflight=" << mrob.size(tid) << '\n';
-        std::size_t limit = std::min<std::size_t>(mrob.size(tid), 40);
+        os << "thread " << t << " inflight=" << rob.size(tid) << '\n';
+        std::size_t limit = std::min<std::size_t>(rob.size(tid), 40);
         for (std::size_t i = 0; i < limit; ++i) {
-            DynInst *inst = &mrob.at(tid, i);
+            const DynInst *inst = &rob.at(tid, i);
             bool fp = usesFpRegs(inst->op);
             os << "  seq=" << inst->seq << " pc=0x" << std::hex
                << inst->pc << std::dec << " op="
@@ -268,9 +299,9 @@ SmtCore::dumpPipeline(std::ostream &os) const
                << " stage=" << stage_names[static_cast<int>(inst->stage)]
                << " wp=" << inst->wrongPath
                << " s1=" << inst->physSrc1 << "("
-               << mren.isReady(inst->physSrc1, fp) << ")"
+               << rename.isReady(inst->physSrc1, fp) << ")"
                << " s2=" << inst->physSrc2 << "("
-               << mren.isReady(inst->physSrc2, fp) << ")"
+               << rename.isReady(inst->physSrc2, fp) << ")"
                << " dst=" << inst->physDst
                << " mispred=" << inst->mispredicted << '\n';
         }
@@ -440,19 +471,19 @@ SmtCore::saveState(CheckpointWriter &w) const
     w.end();
 
     w.begin("core.state");
-    w.u64(state.currentCycle);
-    w.u64(state.stampCounter);
-    w.u32(state.commitRotate);
-    w.u32(state.frontRotate);
+    w.u64(currentCycle);
+    w.u64(stampCounter);
+    w.u32(commitRotate);
+    w.u32(frontRotate);
     for (unsigned t = 0; t < maxThreads; ++t)
-        w.u32(state.icounts[t]);
+        w.u32(icounts[t]);
     for (unsigned t = 0; t < maxThreads; ++t)
-        w.u32(state.robCount[t]);
-    w.u32(state.fetchBuffer.capacity);
+        w.u32(robCount[t]);
+    w.u32(fetchBuffer.capacity);
     for (unsigned t = 0; t < threads; ++t) {
-        saveLatchQueue(w, state.fetchBuffer.q[t]);
-        saveLatchQueue(w, state.decodeQ[t]);
-        saveLatchQueue(w, state.renameQ[t]);
+        saveLatchQueue(w, fetchBuffer.q[t]);
+        saveLatchQueue(w, decodeQ[t]);
+        saveLatchQueue(w, renameQ[t]);
     }
     w.end();
 
@@ -544,38 +575,38 @@ SmtCore::restoreState(CheckpointReader &r)
     r.end();
 
     r.begin("core.state");
-    state.currentCycle = r.u64();
-    state.stampCounter = r.u64();
-    state.commitRotate = r.u32();
-    state.frontRotate = r.u32();
+    currentCycle = r.u64();
+    stampCounter = r.u64();
+    commitRotate = r.u32();
+    frontRotate = r.u32();
     for (unsigned t = 0; t < maxThreads; ++t)
-        state.icounts[t] = r.u32();
+        icounts[t] = r.u32();
     for (unsigned t = 0; t < maxThreads; ++t)
-        state.robCount[t] = r.u32();
+        robCount[t] = r.u32();
     std::uint32_t buffer_cap = r.u32();
-    if (buffer_cap != state.fetchBuffer.capacity)
+    if (buffer_cap != fetchBuffer.capacity)
         r.fail(csprintf("fetch buffer capacity %u does not match "
                         "this configuration's %u",
-                        buffer_cap, state.fetchBuffer.capacity));
-    state.fetchBuffer.clear();
+                        buffer_cap, fetchBuffer.capacity));
+    fetchBuffer.clear();
     for (unsigned t = 0; t < threads; ++t) {
         ThreadID tid = static_cast<ThreadID>(t);
-        restoreLatchQueue(r, state.fetchBuffer.q[t], rob, tid,
+        restoreLatchQueue(r, fetchBuffer.q[t], rob, tid,
                           "fetch buffer");
-        state.fetchBuffer.total += static_cast<unsigned>(
-            state.fetchBuffer.q[t].size());
-        restoreLatchQueue(r, state.decodeQ[t], rob, tid, "decode");
-        restoreLatchQueue(r, state.renameQ[t], rob, tid, "rename");
+        fetchBuffer.total += static_cast<unsigned>(
+            fetchBuffer.q[t].size());
+        restoreLatchQueue(r, decodeQ[t], rob, tid, "decode");
+        restoreLatchQueue(r, renameQ[t], rob, tid, "rename");
     }
-    if (state.fetchBuffer.total > state.fetchBuffer.capacity)
+    if (fetchBuffer.total > fetchBuffer.capacity)
         r.fail(csprintf("fetch buffer holds %u instructions but is "
                         "capped at %u",
-                        state.fetchBuffer.total,
-                        state.fetchBuffer.capacity));
+                        fetchBuffer.total,
+                        fetchBuffer.capacity));
     // Per-cycle scratch is produced and consumed within one tick;
     // a checkpoint sits on a cycle boundary, so it starts empty.
-    state.completionScratch.clear();
-    state.issueScratch.clear();
+    completionScratch.clear();
+    issueScratch.clear();
     r.end();
 
     r.begin("core.rename");
@@ -615,17 +646,16 @@ SmtCore::checkIcountInvariant() const
     // Every in-flight instruction lives in the ROB rings, and the
     // inIcount flag marks membership in the ICOUNT front section, so
     // an ROB walk recomputes the counters exactly.
-    Rob &mrob = const_cast<Rob &>(rob);
     for (unsigned t = 0; t < coreParams.numThreads; ++t) {
         ThreadID tid = static_cast<ThreadID>(t);
         std::uint32_t n = 0;
-        for (std::size_t i = 0; i < mrob.size(tid); ++i)
-            if (mrob.at(tid, i).inIcount)
+        for (std::size_t i = 0; i < rob.size(tid); ++i)
+            if (rob.at(tid, i).inIcount)
                 ++n;
-        if (n != state.icounts[t])
+        if (n != icounts[t])
             panic("icount invariant broken: thread %u has %u counted "
                   "vs tracked %u",
-                  t, n, state.icounts[t]);
+                  t, n, icounts[t]);
     }
 }
 

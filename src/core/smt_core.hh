@@ -4,10 +4,11 @@
  * rename, dispatch, issue, execute, writeback, commit) over shared
  * back-end resources, per Table 3 of the paper.
  *
- * The pipeline is a graph of Stage objects sharing an explicit
- * PipelineState, ticked back-of-pipe first by a StageGraph driver;
- * SmtCore wires the stages up, owns the resources, and exposes the
- * unified StatsRegistry every stage and component registers into.
+ * cycle() is one fixed function that calls each stage back-of-pipe
+ * first: the seven back-end stages are private members (bodies in
+ * core/stages.cc), fetch and predict live in the FrontEnd. SmtCore
+ * owns the resources, the inter-stage latches and the unified
+ * StatsRegistry that it and every component register into.
  */
 
 #ifndef SMTFETCH_CORE_SMT_CORE_HH
@@ -16,6 +17,8 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "bpred/fetch_engine.hh"
 #include "core/exec.hh"
@@ -23,12 +26,11 @@
 #include "core/front_end.hh"
 #include "core/iq.hh"
 #include "core/params.hh"
-#include "core/pipeline_state.hh"
 #include "core/rename.hh"
 #include "core/rob.hh"
 #include "core/sim_stats.hh"
-#include "core/stage_graph.hh"
 #include "mem/hierarchy.hh"
+#include "util/ring_buffer.hh"
 #include "util/stats_registry.hh"
 #include "workload/trace.hh"
 
@@ -67,14 +69,14 @@ class SmtCore
      * or statistical state? (Cycle-skip predicate; public for tests
      * and microbenchmarks.)
      */
-    bool quiescent() { return quiescentAt(state.currentCycle); }
+    bool quiescent() { return quiescentAt(currentCycle); }
 
     /** Measurement counters (clearable mid-run for warmup). */
     SimStats &stats() { return simStats; }
     const SimStats &stats() const { return simStats; }
     void resetStats();
 
-    /** Unified named-statistics registry (stages + components). */
+    /** Unified named-statistics registry (core + components). */
     StatsRegistry &registry() { return statsRegistry; }
     const StatsRegistry &registry() const { return statsRegistry; }
 
@@ -84,7 +86,7 @@ class SmtCore
     {
         unsigned total = 0;
         for (unsigned t = 0; t < coreParams.numThreads; ++t)
-            total += state.robCount[t];
+            total += robCount[t];
         return total;
     }
 
@@ -93,29 +95,17 @@ class SmtCore
     MemoryHierarchy &memory() { return memHierarchy; }
     FrontEnd &frontEnd() { return *front; }
 
-    /** The stage driver (tests, stage-variant introspection). */
-    const StageGraph &stages() const { return graph; }
-
-    Cycle now() const { return state.currentCycle; }
+    Cycle now() const { return currentCycle; }
 
     /** @name Introspection for tests. */
     /// @{
-    std::uint32_t icount(ThreadID tid) const
-    {
-        return state.icounts[tid];
-    }
+    std::uint32_t icount(ThreadID tid) const { return icounts[tid]; }
     unsigned freeIntRegs() const { return rename.freeIntRegs(); }
     unsigned freeFpRegs() const { return rename.freeFpRegs(); }
     unsigned iqOccupancy() const { return iqs.totalOccupancy(); }
-    std::size_t fetchBufferSize() const
-    {
-        return state.fetchBuffer.total;
-    }
+    std::size_t fetchBufferSize() const { return fetchBuffer.total; }
     std::size_t inFlight(ThreadID tid) const { return rob.size(tid); }
-    unsigned robOccupancyOf(ThreadID tid) const
-    {
-        return state.robCount[tid];
-    }
+    unsigned robOccupancyOf(ThreadID tid) const { return robCount[tid]; }
 
     /** Recompute icounts from structures; panic on mismatch. */
     void checkIcountInvariant() const;
@@ -148,8 +138,93 @@ class SmtCore
     /// @}
 
   private:
-    /** Instantiate the nine stages in tick (reverse-pipeline) order. */
-    void buildStages();
+    /**
+     * @name Back-end stages (core/stages.cc), in tick order. Each
+     * consumes what its upstream neighbour produced on an earlier
+     * cycle, so no latch double-buffering is needed.
+     */
+    /// @{
+    /** Drain this cycle's functional-unit completions into
+     *  completionScratch. */
+    void executeStage();
+
+    /** Apply the completions: mark instructions done, wake
+     *  dependents through the rename scoreboard, and resolve
+     *  execute-time mispredictions with a squash. */
+    void writebackStage();
+
+    /** Retire done instructions from the per-thread ROB heads,
+     *  sharing the commit width round-robin; commit-side predictor
+     *  training and store writeback happen here. */
+    void commitStage();
+    void commitInst(DynInst &inst);
+
+    /** Out-of-order select over the shared issue queues, bounded by
+     *  the functional-unit counts, plus the long-latency-load
+     *  STALL/FLUSH policy (Tullsen & Brown). */
+    void issueStage();
+
+    /** Per-thread in-order rename and insert into the shared issue
+     *  queues; a structural hazard stalls only its own thread. */
+    void dispatchStage();
+
+    /** Move decoded instructions into the per-thread rename queues
+     *  (the decode-to-rename pipeline latch). */
+    void renameStage();
+
+    /** Drain the shared fetch buffer into the per-thread decode
+     *  queues and repair bogus block ends (a predicted CTI that is a
+     *  plain instruction) without waiting for execute. */
+    void decodeStage();
+
+    /**
+     * Squash all instructions of offender's thread younger than the
+     * offender, repair engine state, and redirect fetch. Used by
+     * decode (bogus block end), issue (FLUSH policy) and writeback
+     * (mispredict).
+     */
+    void squashAfter(DynInst &offender);
+    /// @}
+
+    /**
+     * @name Stall rules, shared by the stages and quiescentAt so
+     * each is written once.
+     */
+    /// @{
+    /** The thread's ROB head is done and retires. */
+    bool
+    canCommit(ThreadID tid)
+    {
+        return !rob.empty(tid) && rob.head(tid).stage == InstStage::Done;
+    }
+
+    /** The fetch buffer drains into a non-full decode latch. */
+    bool
+    canDecode(ThreadID tid)
+    {
+        return fetchBuffer.front(tid) != nullptr &&
+               decodeQ[tid].size() < coreParams.decodeWidth;
+    }
+
+    /** The decode latch drains into a non-full rename latch. */
+    bool
+    canRename(ThreadID tid) const
+    {
+        return !decodeQ[tid].empty() &&
+               renameQ[tid].size() < coreParams.decodeWidth;
+    }
+
+    /** The thread's head instruction hits a structural hazard: a
+     *  full ROB share, a full IQ class, or no free register. */
+    bool
+    dispatchBlocked(ThreadID tid, const DynInst &inst) const
+    {
+        bool needs_reg = inst.si != nullptr && inst.si->dst != invalidReg;
+        return robCount[tid] >= coreParams.robEntries ||
+               !iqs.hasSpace(iqClassFor(inst.op)) ||
+               (needs_reg && !rename.canAllocate(usesFpRegs(inst.op)));
+    }
+    /// @}
 
     /** @name Event-driven cycle skipping (see run()). */
     /// @{
@@ -163,7 +238,8 @@ class SmtCore
     void skipTo(Cycle target);
     /// @}
 
-    /** Register core-level stats and formulas (IPC, IPFC). */
+    /** Register the core's and every stage's stats, then the
+     *  engine's and the memory hierarchy's. */
     void registerStats();
 
     CoreParams coreParams;
@@ -178,10 +254,39 @@ class SmtCore
     std::unique_ptr<FrontEnd> front;
 
     SimStats simStats;
-
-    PipelineState state;
-    StageGraph graph;
     StatsRegistry statsRegistry;
+
+    /** @name Inter-stage latches (fixed-capacity ring storage; all
+     *  slots preallocated, steady-state cycles never allocate). */
+    /// @{
+    FetchBuffer fetchBuffer;
+    std::array<RingBuffer<DynInst *>, maxThreads> decodeQ;
+    std::array<RingBuffer<DynInst *>, maxThreads> renameQ;
+    /// @}
+
+    /** ICOUNT front-section instruction counts per thread. */
+    std::array<std::uint32_t, maxThreads> icounts{};
+
+    /** Dispatched-not-committed instructions per thread (ROB use). */
+    std::array<unsigned, maxThreads> robCount{};
+
+    /** @name Stage rotation / ordering counters. */
+    /// @{
+    std::uint64_t stampCounter = 0;
+    unsigned commitRotate = 0;
+    unsigned frontRotate = 0;
+    /// @}
+
+    Cycle currentCycle = 0;
+
+    /** @name Per-cycle scratch, produced and consumed within a tick. */
+    /// @{
+    /** Execute's completions this cycle, consumed by writeback. */
+    std::vector<std::pair<ThreadID, InstSeqNum>> completionScratch;
+
+    /** Issue's selected instructions this cycle. */
+    std::vector<DynInst *> issueScratch;
+    /// @}
 };
 
 } // namespace smt

@@ -1,17 +1,14 @@
 /**
  * @file
- * Determinism regression tests for the stage-graph refactor: two
- * simulations with the same seed and configuration must produce
- * bit-identical StatsRegistry dumps (text and JSON), two sweeps of
- * the same request must render byte-identical BENCH records, and the
- * stage graph itself must be wired in the documented reverse-pipeline
- * order.
+ * Determinism regression tests: two simulations with the same seed
+ * and configuration must produce bit-identical StatsRegistry dumps
+ * (text and JSON), and two sweeps of the same request must render
+ * byte-identical BENCH records.
  */
 
 #include <filesystem>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,20 +120,7 @@ TEST(Determinism, RegistryAgreesWithSimStatsView)
     }
 }
 
-TEST(StageGraphWiring, NineStagesInReversePipelineOrder)
-{
-    Simulator sim(smallConfig("2_MIX", EngineKind::GshareBtb, 1, 8, 0));
-    const StageGraph &graph = sim.core().stages();
-    std::vector<std::string> expect = {
-        "execute", "writeback", "commit",  "issue",  "dispatch",
-        "rename",  "decode",    "fetch",   "predict"};
-    EXPECT_EQ(graph.names(), expect);
-    ASSERT_EQ(graph.size(), 9u);
-    EXPECT_EQ(graph.at(0).name(), "execute");
-    EXPECT_EQ(graph.at(8).name(), "predict");
-}
-
-TEST(StageGraphWiring, ResetStatsClearsMeasuredWindow)
+TEST(Determinism, ResetStatsClearsMeasuredWindow)
 {
     Simulator sim(smallConfig("2_MIX", EngineKind::Stream, 1, 8, 3));
     sim.run();
