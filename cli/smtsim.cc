@@ -131,17 +131,11 @@ listEngines(bool quiet)
                 aliases += (aliases.empty() ? "" : ", ") + a;
             std::printf("    aliases: %s\n", aliases.c_str());
         }
-        for (const EngineParamSpec &p : d.params) {
-            // Preset engines report defaults with their preset
-            // applied (what a spec naming the engine actually gets).
-            EngineParams ep = defaults;
-            if (d.preset != nullptr)
-                d.preset(ep);
+        for (const EngineParamSpec &p : d.params)
             std::printf("    %s=%llu  [%llu..%llu]  %s\n", p.key,
-                        (unsigned long long)p.get(ep),
+                        (unsigned long long)p.get(defaults),
                         (unsigned long long)p.minValue,
                         (unsigned long long)p.maxValue, p.help);
-        }
         std::printf("\n");
     }
 }

@@ -11,18 +11,13 @@ namespace smt
 std::uint64_t
 EngineParamSpec::get(const EngineParams &p) const
 {
-    if (type == Type::Bool)
-        return (p.*boolField) ? 1 : 0;
     return p.*uintField;
 }
 
 void
 EngineParamSpec::set(EngineParams &p, std::uint64_t value) const
 {
-    if (type == Type::Bool)
-        p.*boolField = value != 0;
-    else
-        p.*uintField = static_cast<unsigned>(value);
+    p.*uintField = static_cast<unsigned>(value);
 }
 
 EngineParamSpec
@@ -34,24 +29,9 @@ EngineParamSpec::uintSpec(const char *key, const char *help,
     EngineParamSpec s;
     s.key = key;
     s.help = help;
-    s.type = Type::UInt;
     s.uintField = field;
     s.minValue = min_value;
     s.maxValue = max_value;
-    return s;
-}
-
-EngineParamSpec
-EngineParamSpec::boolSpec(const char *key, const char *help,
-                          bool EngineParams::*field)
-{
-    EngineParamSpec s;
-    s.key = key;
-    s.help = help;
-    s.type = Type::Bool;
-    s.boolField = field;
-    s.minValue = 0;
-    s.maxValue = 1;
     return s;
 }
 

@@ -37,27 +37,20 @@ namespace smt
 {
 
 /**
- * One spec-settable engine parameter: a typed binding from an
- * override key (as used in JSON sweep specs and on the wire) to an
- * EngineParams member, with range validation.
+ * One spec-settable engine parameter: a binding from an override key
+ * (as used in JSON sweep specs and on the wire) to an unsigned
+ * EngineParams member, with range validation. The oracle and adaptive
+ * flags are not parameters: the engine name selects them (preset).
  */
 struct EngineParamSpec
 {
-    enum class Type
-    {
-        UInt,
-        Bool,
-    };
-
     const char *key = nullptr;
     const char *help = nullptr;
-    Type type = Type::UInt;
     unsigned EngineParams::*uintField = nullptr;
-    bool EngineParams::*boolField = nullptr;
     std::uint64_t minValue = 0;
     std::uint64_t maxValue = ~std::uint64_t{0};
 
-    /** Read the bound member (bools read as 0/1). */
+    /** Read the bound member. */
     std::uint64_t get(const EngineParams &p) const;
 
     /** Write the bound member (no range check; see inRange). */
@@ -69,15 +62,11 @@ struct EngineParamSpec
         return value >= minValue && value <= maxValue;
     }
 
-    /** @name Terse spec constructors for registration functions. */
-    /// @{
+    /** Terse spec constructor for registration functions. */
     static EngineParamSpec uintSpec(const char *key, const char *help,
                                     unsigned EngineParams::*field,
                                     std::uint64_t min_value,
                                     std::uint64_t max_value);
-    static EngineParamSpec boolSpec(const char *key, const char *help,
-                                    bool EngineParams::*field);
-    /// @}
 };
 
 /** Everything the registry knows about one engine. */
@@ -125,7 +114,8 @@ class EngineRegistry
      */
     const EngineDescriptor *find(const std::string &name) const;
 
-    /** Resolve an engine-parameter override key; nullptr if unknown. */
+    /** Resolve an engine-parameter override key against every
+     *  engine's schema; nullptr if no engine declares it. */
     const EngineParamSpec *findParam(const std::string &key) const;
 
     const std::vector<EngineDescriptor> &all() const

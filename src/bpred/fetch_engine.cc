@@ -889,14 +889,7 @@ registerPresetEngines(EngineRegistry &reg)
                 std::make_unique<BtbFetchEngine>(p));
         };
         d.preset = [](EngineParams &p) { p.perfectBp = true; };
-        d.params = [] {
-            std::vector<EngineParamSpec> v = lineEngineParams();
-            v.push_back(PSpec::boolSpec(
-                "perfectBp",
-                "serve correct-path blocks from the trace oracle",
-                &EngineParams::perfectBp));
-            return v;
-        }();
+        d.params = lineEngineParams();
         reg.add(std::move(d));
     }
     {
@@ -913,14 +906,7 @@ registerPresetEngines(EngineRegistry &reg)
                 std::make_unique<BtbFetchEngine>(p));
         };
         d.preset = [](EngineParams &p) { p.perfectIcache = true; };
-        d.params = [] {
-            std::vector<EngineParamSpec> v = lineEngineParams();
-            v.push_back(PSpec::boolSpec(
-                "perfectIcache",
-                "every I-cache access hits, no bank conflicts",
-                &EngineParams::perfectIcache));
-            return v;
-        }();
+        d.params = lineEngineParams();
         reg.add(std::move(d));
     }
     {
@@ -939,10 +925,6 @@ registerPresetEngines(EngineRegistry &reg)
         d.preset = [](EngineParams &p) { p.adaptiveFetch = true; };
         d.params = [] {
             std::vector<EngineParamSpec> v = lineEngineParams();
-            v.push_back(PSpec::boolSpec(
-                "adaptiveFetch",
-                "cap low-confidence blocks' fetch rate",
-                &EngineParams::adaptiveFetch));
             v.push_back(PSpec::uintSpec(
                 "adaptiveLowWidth",
                 "fetch chunk cap for low-confidence blocks",

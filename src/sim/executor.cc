@@ -24,9 +24,8 @@ resultFrom(const GridPoint &point, const ExecutorParams &params,
     r.overrides = point.overrides;
     r.warmupCycles = params.warmupCycles;
     r.measureCycles = params.measureCycles;
-    r.stats = sim.stats();
-    r.ipfc = r.stats.ipfc();
-    r.ipc = r.stats.ipc();
+    r.ipfc = sim.stats().ipfc();
+    r.ipc = sim.stats().ipc();
     // The end-of-measurement snapshot, not the live registry: on
     // padded recording runs the live counters include pad activity.
     r.statsJson = sim.measuredStatsJson();

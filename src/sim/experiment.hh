@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/sim_stats.hh"
 #include "sim/sim_config.hh"
 
 namespace smt
@@ -50,8 +49,7 @@ struct RunOverrides
      * Engine-parameter overrides resolved through the engine
      * registry's schemas (EngineRegistry::findParam): ordered
      * (spec key, value) pairs applied to EngineParams after the
-     * structural overrides, before predictorShift. Booleans are
-     * carried as 0/1.
+     * structural overrides, before predictorShift.
      */
     std::vector<std::pair<std::string, std::uint64_t>> engineParams;
 
@@ -103,7 +101,6 @@ struct ExperimentResult
 
     double ipfc = 0.0;
     double ipc = 0.0;
-    SimStats stats;
 
     /**
      * Compact JSON object with every registered stat (the core's

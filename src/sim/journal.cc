@@ -11,7 +11,6 @@
 #include <unistd.h>
 #endif
 
-#include "bpred/engine_registry.hh"
 #include "sim/sweep_spec.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -70,46 +69,16 @@ strMember(const JsonValue &doc, const char *key)
     return v.asString();
 }
 
+/** A journaled overrides object of `engine`'s result: scalar members
+ *  only, decoded and checked by the spec parser. */
 RunOverrides
-decodeOverrides(const JsonValue &doc)
+decodeOverrides(const JsonValue &doc, EngineKind engine)
 {
-    if (!doc.isObject())
-        codecFail(csprintf("\"overrides\" must be an object, "
-                           "found %s",
-                           doc.kindName()));
-    RunOverrides o;
-    for (const auto &[key, value] : doc.asObject()) {
-        if (key == "ftqEntries") {
-            o.ftqEntries = static_cast<unsigned>(value.asUInt64());
-        } else if (key == "fetchBufferSize") {
-            o.fetchBufferSize =
-                static_cast<unsigned>(value.asUInt64());
-        } else if (key == "robEntries") {
-            o.robEntries = static_cast<unsigned>(value.asUInt64());
-        } else if (key == "longLoadPolicy") {
-            o.longLoadPolicy =
-                longLoadPolicyFromString(value.asString());
-        } else if (key == "longLoadThreshold") {
-            o.longLoadThreshold = value.asUInt64();
-        } else if (key == "predictorShift") {
-            o.predictorShift =
-                static_cast<unsigned>(value.asUInt64());
-        } else if (const EngineParamSpec *ps =
-                       EngineRegistry::instance().findParam(key);
-                   ps != nullptr) {
-            std::uint64_t n = value.asUInt64();
-            if (!ps->inRange(n))
-                codecFail(csprintf("engine parameter \"%s\" value "
-                                   "%llu out of range",
-                                   key.c_str(),
-                                   (unsigned long long)n));
-            o.engineParams.emplace_back(key, n);
-        } else {
-            codecFail(csprintf("unknown override \"%s\"",
-                               key.c_str()));
-        }
-    }
-    return o;
+    std::vector<RunOverrides> combos =
+        parseOverrides(doc, {engine}, "journal entry");
+    if (combos.size() != 1)
+        codecFail("\"overrides\" members must be single values");
+    return combos.front();
 }
 
 std::string
@@ -186,7 +155,7 @@ decodeResult(const JsonValue &doc)
     r.fetchWidth =
         static_cast<unsigned>(u64Member(doc, "fetchWidth"));
     if (const JsonValue *o = doc.find("overrides"))
-        r.overrides = decodeOverrides(*o);
+        r.overrides = decodeOverrides(*o, r.engine);
     r.warmupCycles = u64Member(doc, "warmupCycles");
     r.measureCycles = u64Member(doc, "measureCycles");
     r.ipfc = numMember(doc, "ipfc");

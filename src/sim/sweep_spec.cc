@@ -160,11 +160,49 @@ parsePolicyPoint(const JsonValue &v, const std::string &context)
 }
 
 /**
- * Expand an overrides object into the cross product of its (possibly
- * array-valued) members, in key order.
+ * The value `v` of engine parameter `key` for engine `kind`:
+ * SpecError unless the engine's schema declares `key` and `v` is in
+ * its range. The oracle and adaptive flags are not parameters: the
+ * engine name selects them.
  */
+std::uint64_t
+engineParamValue(EngineKind kind, const std::string &key,
+                 const JsonValue &v, const std::string &context)
+{
+    const EngineDescriptor &d =
+        EngineRegistry::instance().descriptor(kind);
+    std::string known;
+    for (const EngineParamSpec &p : d.params) {
+        if (key != p.key) {
+            known += (known.empty() ? "" : ", ") + std::string(p.key);
+            continue;
+        }
+        const std::uint64_t value = uintValue(v, context, p.key);
+        if (!p.inRange(value))
+            specFail(context,
+                     csprintf("engine parameter \"%s\" value %llu out "
+                              "of range [%llu, %llu]",
+                              key.c_str(), (unsigned long long)value,
+                              (unsigned long long)p.minValue,
+                              (unsigned long long)p.maxValue));
+        return value;
+    }
+    specFail(context,
+             csprintf("unknown override \"%s\" for engine \"%s\" "
+                      "(known: ftqEntries, fetchBufferSize, "
+                      "robEntries, longLoadPolicy, longLoadThreshold, "
+                      "predictorShift, and the engine's parameters "
+                      "%s; smtsim --list-engines lists every "
+                      "engine's)",
+                      key.c_str(), d.name, known.c_str()));
+}
+
+} // namespace
+
 std::vector<RunOverrides>
-parseOverrides(const JsonValue &obj, const std::string &context)
+parseOverrides(const JsonValue &obj,
+               const std::vector<EngineKind> &engines,
+               const std::string &context)
 {
     if (!obj.isObject())
         specFail(context,
@@ -221,35 +259,13 @@ parseOverrides(const JsonValue &obj, const std::string &context)
                                           "below usable sizes)");
                     ov.predictorShift =
                         static_cast<unsigned>(shift);
-                } else if (const EngineParamSpec *ps =
-                               EngineRegistry::instance().findParam(
-                                   key);
-                           ps != nullptr) {
-                    // Engine parameters resolve through the registry
-                    // schemas; values apply via RunOverrides.
-                    std::uint64_t n =
-                        uintValue(*v, context, key.c_str());
-                    if (!ps->inRange(n))
-                        specFail(
-                            context,
-                            csprintf("engine parameter \"%s\" value "
-                                     "%llu out of range [%llu, %llu]",
-                                     key.c_str(),
-                                     (unsigned long long)n,
-                                     (unsigned long long)ps->minValue,
-                                     (unsigned long long)
-                                         ps->maxValue));
-                    ov.engineParams.emplace_back(key, n);
                 } else {
-                    specFail(
-                        context,
-                        csprintf("unknown override \"%s\" (known: "
-                                 "ftqEntries, fetchBufferSize, "
-                                 "robEntries, longLoadPolicy, "
-                                 "longLoadThreshold, predictorShift, "
-                                 "or any engine parameter listed by "
-                                 "smtsim --list-engines)",
-                                 key.c_str()));
+                    // Any other key is an engine parameter, and every
+                    // engine of the block must declare it.
+                    std::uint64_t n = 0;
+                    for (EngineKind kind : engines)
+                        n = engineParamValue(kind, key, *v, context);
+                    ov.engineParams.emplace_back(key, n);
                 }
                 next.push_back(ov);
             }
@@ -258,6 +274,9 @@ parseOverrides(const JsonValue &obj, const std::string &context)
     }
     return combos;
 }
+
+namespace
+{
 
 SweepBlock
 parseSweepBlock(const JsonValue &v, const std::string &context)
@@ -268,6 +287,7 @@ parseSweepBlock(const JsonValue &v, const std::string &context)
                                    v.kindName()));
 
     SweepBlock block;
+    const JsonValue *overrides = nullptr;
     for (const auto &[key, value] : v.asObject()) {
         if (key == "workloads") {
             for (const JsonValue *w : scalarOrArray(value)) {
@@ -375,7 +395,8 @@ parseSweepBlock(const JsonValue &v, const std::string &context)
                 block.selections.push_back(policyKindFromString(
                     stringValue(*s, context, "a selection policy")));
         } else if (key == "overrides") {
-            block.overrides = parseOverrides(value, context);
+            // Parsed below, once the block's engines are known.
+            overrides = &value;
         } else {
             specFail(context,
                      csprintf("unknown sweep key \"%s\" (known: "
@@ -400,6 +421,9 @@ parseSweepBlock(const JsonValue &v, const std::string &context)
         block.engines.assign(paperEngines().begin(),
                              paperEngines().end());
     }
+    if (overrides != nullptr)
+        block.overrides = parseOverrides(*overrides, block.engines,
+                                         context);
 
     // The fetch buffer must cover the block's widest fetch policy
     // (CoreParams::validate), so --validate catches it up front.

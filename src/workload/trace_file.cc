@@ -1,13 +1,9 @@
 #include "workload/trace_file.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <sstream>
 #include <utility>
 
-#ifdef SMTFETCH_HAVE_ZLIB
 #include <zlib.h>
-#endif
 
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
@@ -93,20 +89,16 @@ constexpr std::size_t indexEntryBytes = 16;
 /** Per-block frame prelude: rawBytes u32, storedBytes u32. */
 constexpr std::size_t blockFrameBytes = 8;
 
-/** The text encoding's own revision (its "strc v1" first line). */
-constexpr unsigned textFormatVersion = 1;
-
 /** Sanity cap on the benchmark-name length field. */
 constexpr std::size_t maxNameLen = 255;
 
 /** Sanity cap on records-per-block (1 GB of raw payload). */
 constexpr std::uint32_t maxBlockRecords = 1u << 22;
 
-/** Compress one raw record block; TraceFileError without zlib. */
+/** Compress one raw record block. */
 std::string
 deflateBlock(const std::string &raw, const std::string &path)
 {
-#ifdef SMTFETCH_HAVE_ZLIB
     uLongf bound = compressBound(static_cast<uLong>(raw.size()));
     std::string out(bound, '\0');
     if (compress2(reinterpret_cast<Bytef *>(out.data()), &bound,
@@ -117,54 +109,6 @@ deflateBlock(const std::string &raw, const std::string &path)
                              ": deflate failed on a record block");
     out.resize(bound);
     return out;
-#else
-    (void)raw;
-    throw TraceFileError(path +
-                         ": deflate codec requested but this build "
-                         "has no zlib — use the raw codec");
-#endif
-}
-
-} // namespace
-
-bool
-traceCodecAvailable(std::uint8_t codec)
-{
-    if (codec == traceCodecRaw)
-        return true;
-#ifdef SMTFETCH_HAVE_ZLIB
-    if (codec == traceCodecDeflate)
-        return true;
-#endif
-    return false;
-}
-
-const char *
-traceCodecName(std::uint8_t codec)
-{
-    switch (codec) {
-      case traceCodecRaw: return "raw";
-      case traceCodecDeflate: return "deflate";
-      case traceCodecAuto: return "auto";
-    }
-    return "unknown";
-}
-
-namespace
-{
-
-/** Reverse of opName() for the text encoding. */
-bool
-kindFromName(const std::string &name, OpClass &out)
-{
-    for (unsigned k = 0; k <= maxOpKind; ++k) {
-        OpClass op = static_cast<OpClass>(k);
-        if (name == opName(op)) {
-            out = op;
-            return true;
-        }
-    }
-    return false;
 }
 
 /** Encode pc as a code-relative instruction-word index. */
@@ -188,29 +132,7 @@ packWord(Addr addr, Addr code_base, const std::string &path,
     return static_cast<std::uint32_t>(word);
 }
 
-std::uint64_t
-parseUint(const std::string &tok, bool &ok)
-{
-    if (tok.empty()) {
-        ok = false;
-        return 0;
-    }
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(tok.c_str(), &end, 0);
-    ok = end != nullptr && *end == '\0';
-    return v;
-}
-
 } // namespace
-
-bool
-traceFileIsText(const std::string &path)
-{
-    const std::string ext = ".strc";
-    return path.size() >= ext.size() &&
-           path.compare(path.size() - ext.size(), ext.size(), ext) ==
-               0;
-}
 
 // ------------------------------------------------------------- writer
 
@@ -219,7 +141,6 @@ TraceWriter::TraceWriter(const std::string &path,
                          const TraceWriteOptions &options)
     : filePath(path), hdr(header)
 {
-    hdr.text = traceFileIsText(path);
     hdr.version = traceFormatVersion;
     hdr.recordCount = 0;
     hdr.blockCount = 0;
@@ -229,13 +150,9 @@ TraceWriter::TraceWriter(const std::string &path,
                       hdr.benchmark.c_str(), maxNameLen));
 
     hdr.codec = options.codec;
-    if (hdr.codec == traceCodecAuto)
-        hdr.codec = traceCodecAvailable(traceCodecDeflate)
-                        ? traceCodecDeflate
-                        : traceCodecRaw;
-    if (!traceCodecAvailable(hdr.codec))
-        fail(csprintf("codec \"%s\" is not available in this build",
-                      traceCodecName(hdr.codec)));
+    if (hdr.codec != traceCodecRaw && hdr.codec != traceCodecDeflate)
+        fail(csprintf("unknown codec %u (known: %u raw, %u deflate)",
+                      hdr.codec, traceCodecRaw, traceCodecDeflate));
     hdr.blockRecords = options.blockRecords;
     if (hdr.blockRecords == 0 || hdr.blockRecords > maxBlockRecords)
         fail(csprintf("block size %u records out of range [1, %u]",
@@ -245,24 +162,21 @@ TraceWriter::TraceWriter(const std::string &path,
     if (!os)
         fail("cannot open for writing");
 
-    if (!hdr.text) {
-        std::string head(traceMagic, sizeof(traceMagic));
-        put16(head, hdr.version);
-        put16(head, static_cast<std::uint16_t>(hdr.benchmark.size()));
-        head += hdr.benchmark;
-        put64(head, hdr.seed);
-        put64(head, hdr.codeBase);
-        put64(head, hdr.dataBase);
-        put64(head, 0); // recordCount, patched by close()
-        head.push_back(static_cast<char>(hdr.codec));
-        head.push_back(0); // reserved
-        put32(head, hdr.blockRecords);
-        put64(head, 0); // indexOffset, patched by close()
-        put64(head, 0); // blockCount, patched by close()
-        blockBuf.reserve(hdr.blockRecords * traceRecordBytes);
-        os.write(head.data(),
-                 static_cast<std::streamsize>(head.size()));
-    }
+    std::string head(traceMagic, sizeof(traceMagic));
+    put16(head, hdr.version);
+    put16(head, static_cast<std::uint16_t>(hdr.benchmark.size()));
+    head += hdr.benchmark;
+    put64(head, hdr.seed);
+    put64(head, hdr.codeBase);
+    put64(head, hdr.dataBase);
+    put64(head, 0); // recordCount, patched by close()
+    head.push_back(static_cast<char>(hdr.codec));
+    head.push_back(0); // reserved
+    put32(head, hdr.blockRecords);
+    put64(head, 0); // indexOffset, patched by close()
+    put64(head, 0); // blockCount, patched by close()
+    blockBuf.reserve(hdr.blockRecords * traceRecordBytes);
+    os.write(head.data(), static_cast<std::streamsize>(head.size()));
 }
 
 TraceWriter::~TraceWriter()
@@ -295,11 +209,6 @@ TraceWriter::append(const PackedTraceRecord &rec)
 {
     if (closed)
         fail("append after close");
-    if (hdr.text) {
-        textRecords.push_back(rec);
-        ++count;
-        return;
-    }
 
     // Pack both words before appending, so a bad address leaves no
     // partial record in the block.
@@ -356,56 +265,29 @@ TraceWriter::close()
         return;
     closed = true;
 
-    if (hdr.text) {
-        std::ostringstream text;
-        text << "strc v" << textFormatVersion << "\n";
-        text << "benchmark " << hdr.benchmark << "\n";
-        text << "seed " << hdr.seed << "\n";
-        text << "codeBase 0x" << std::hex << hdr.codeBase << std::dec
-             << "\n";
-        text << "dataBase 0x" << std::hex << hdr.dataBase << std::dec
-             << "\n";
-        text << "records " << count << "\n";
-        text << "# r <pc> <next-pc> <kind> <T|-> <dep-depth> "
-                "[<mem-addr>]\n";
-        for (const auto &r : textRecords) {
-            text << "r 0x" << std::hex << r.pc << " 0x" << r.nextPc
-                 << std::dec << " " << opName(r.kind) << " "
-                 << (r.taken ? "T" : "-") << " "
-                 << static_cast<unsigned>(r.depDepth);
-            if (r.memAddr != invalidAddr)
-                text << " 0x" << std::hex << r.memAddr << std::dec;
-            text << "\n";
-        }
-        std::string s = text.str();
-        os.write(s.data(), static_cast<std::streamsize>(s.size()));
-    } else {
-        flushBlock();
-        // The seek index trails the payload: magic, then one
-        // (fileOffset, firstRecord) pair per block.
-        hdr.indexOffset = static_cast<std::uint64_t>(os.tellp());
-        hdr.blockCount = index.size();
-        std::string idx(traceIndexMagic, sizeof(traceIndexMagic));
-        for (const IndexEntry &e : index) {
-            put64(idx, e.fileOffset);
-            put64(idx, e.firstRecord);
-        }
-        os.write(idx.data(), static_cast<std::streamsize>(idx.size()));
-        std::string ext;
-        put64(ext, hdr.indexOffset);
-        put64(ext, hdr.blockCount);
-        os.seekp(static_cast<std::streamoff>(
-            headPreludeBytes + hdr.benchmark.size() + headTailBytes +
-            6));
-        os.write(ext.data(), static_cast<std::streamsize>(ext.size()));
-        // Patch the record count now that it is known.
-        std::string buf;
-        put64(buf, count);
-        os.seekp(static_cast<std::streamoff>(
-            headPreludeBytes + hdr.benchmark.size() + headTailBytes -
-            8));
-        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    flushBlock();
+    // The seek index trails the payload: magic, then one
+    // (fileOffset, firstRecord) pair per block.
+    hdr.indexOffset = static_cast<std::uint64_t>(os.tellp());
+    hdr.blockCount = index.size();
+    std::string idx(traceIndexMagic, sizeof(traceIndexMagic));
+    for (const IndexEntry &e : index) {
+        put64(idx, e.fileOffset);
+        put64(idx, e.firstRecord);
     }
+    os.write(idx.data(), static_cast<std::streamsize>(idx.size()));
+    std::string ext;
+    put64(ext, hdr.indexOffset);
+    put64(ext, hdr.blockCount);
+    os.seekp(static_cast<std::streamoff>(
+        headPreludeBytes + hdr.benchmark.size() + headTailBytes + 6));
+    os.write(ext.data(), static_cast<std::streamsize>(ext.size()));
+    // Patch the record count now that it is known.
+    std::string buf;
+    put64(buf, count);
+    os.seekp(static_cast<std::streamoff>(
+        headPreludeBytes + hdr.benchmark.size() + headTailBytes - 8));
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     os.flush();
     if (!os)
         fail("I/O error while finalizing");
@@ -420,19 +302,12 @@ TraceWriter::fail(const std::string &what) const
 
 // ------------------------------------------------------------- reader
 
-TraceReader::TraceReader(const std::string &path, bool header_only)
-    : filePath(path), headerOnly(header_only)
+TraceReader::TraceReader(const std::string &path) : filePath(path)
 {
     is.open(path, std::ios::binary);
     if (!is)
         throw TraceFileError(filePath + ": cannot open trace file");
-
-    if (traceFileIsText(path)) {
-        hdr.text = true;
-        parseText(header_only);
-    } else {
-        readBinaryHeader();
-    }
+    readBinaryHeader();
 }
 
 void
@@ -455,8 +330,8 @@ TraceReader::readBinaryHeader()
             reinterpret_cast<const char *>(prelude), traceMagic,
             sizeof(traceMagic)) != 0)
         fail("bad magic: not a smtfetch trace file (expected "
-             "\"SMTTRC\"; text fixtures must use the .strc "
-             "extension)");
+             "\"SMTTRC\") — record one with smtsim --record or "
+             "tracegen");
 
     errOffset = sizeof(traceMagic);
     hdr.version = get16(prelude + sizeof(traceMagic));
@@ -493,8 +368,7 @@ TraceReader::readBinaryHeader()
 
     headerBytes = headPreludeBytes + name_len + headTailBytes;
     readExtension(file_size);
-    if (!headerOnly)
-        readIndex();
+    readIndex();
 }
 
 void
@@ -518,11 +392,6 @@ TraceReader::readExtension(std::uint64_t file_size)
                       "%u deflate) — file written by a newer format "
                       "revision?",
                       hdr.codec, traceCodecRaw, traceCodecDeflate));
-    if (!traceCodecAvailable(hdr.codec))
-        fail(csprintf("record blocks are %s-compressed but this "
-                      "build has no zlib — rebuild with zlib or "
-                      "re-record with the raw codec",
-                      traceCodecName(hdr.codec)));
     if (hdr.blockRecords == 0 || hdr.blockRecords > maxBlockRecords)
         fail(csprintf("block size %u records out of range [1, %u] "
                       "(corrupt extension header?)",
@@ -599,134 +468,6 @@ TraceReader::readIndex()
 }
 
 void
-TraceReader::parseText(bool header_only)
-{
-    std::string line;
-    std::size_t lineno = 0;
-    bool saw_version = false;
-    bool saw_count = false;
-    std::uint64_t declared = 0;
-    std::uint64_t record_lines = 0;
-
-    auto lineFail = [&](const std::string &what) {
-        fail(csprintf("line %zu: %s", lineno, what.c_str()));
-    };
-
-    while (true) {
-        const std::streamoff here = is.tellg();
-        if (here >= 0)
-            errOffset = static_cast<std::uint64_t>(here);
-        if (!std::getline(is, line))
-            break;
-        ++lineno;
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        std::istringstream ls(line);
-        std::string tok;
-        if (!(ls >> tok) || tok[0] == '#')
-            continue;
-
-        // Header-only consumers (readTraceHeader) still count
-        // record lines for the declared-count cross-check, but skip
-        // tokenizing them.
-        if (header_only && saw_version && tok == "r") {
-            ++record_lines;
-            continue;
-        }
-
-        if (!saw_version) {
-            if (tok != "strc")
-                lineFail("a text trace must start with \"strc v1\"");
-            std::string ver;
-            if (!(ls >> ver) ||
-                ver != csprintf("v%u", textFormatVersion))
-                lineFail(csprintf(
-                    "unsupported text-trace version \"%s\" — this "
-                    "build reads \"v%u\"",
-                    ver.c_str(), textFormatVersion));
-            saw_version = true;
-            continue;
-        }
-
-        if (tok == "r") {
-            ++record_lines;
-            std::string pc_s, next_s, kind_s, taken_s, dep_s, mem_s;
-            if (!(ls >> pc_s >> next_s >> kind_s >> taken_s >> dep_s))
-                lineFail("a record line is \"r <pc> <next-pc> "
-                         "<kind> <T|-> <dep-depth> [<mem-addr>]\"");
-            PackedTraceRecord rec;
-            bool ok = true, ok2 = true, ok3 = true;
-            rec.pc = parseUint(pc_s, ok);
-            rec.nextPc = parseUint(next_s, ok2);
-            std::uint64_t dep = parseUint(dep_s, ok3);
-            if (!ok || !ok2 || !ok3 || dep > 0xff)
-                lineFail("bad number in record (addresses take "
-                         "0x-hex or decimal; dep-depth is 0..255)");
-            rec.depDepth = static_cast<std::uint8_t>(dep);
-            if (!kindFromName(kind_s, rec.kind))
-                lineFail(csprintf(
-                    "unknown op kind \"%s\" (known: alu, mul, ld, "
-                    "st, fp, br, jmp, call, ret, ijmp)",
-                    kind_s.c_str()));
-            if (taken_s == "T")
-                rec.taken = true;
-            else if (taken_s == "-")
-                rec.taken = false;
-            else
-                lineFail(csprintf("bad taken flag \"%s\" (use T "
-                                  "or -)",
-                                  taken_s.c_str()));
-            if (ls >> mem_s) {
-                bool okm = true;
-                rec.memAddr = parseUint(mem_s, okm);
-                if (!okm)
-                    lineFail(csprintf("bad mem-addr \"%s\"",
-                                      mem_s.c_str()));
-            }
-            textRecords.push_back(rec);
-            continue;
-        }
-
-        std::string value;
-        if (!(ls >> value))
-            lineFail(csprintf("header key \"%s\" needs a value",
-                              tok.c_str()));
-        bool ok = true;
-        if (tok == "benchmark") {
-            hdr.benchmark = value;
-        } else if (tok == "seed") {
-            hdr.seed = parseUint(value, ok);
-        } else if (tok == "codeBase") {
-            hdr.codeBase = parseUint(value, ok);
-        } else if (tok == "dataBase") {
-            hdr.dataBase = parseUint(value, ok);
-        } else if (tok == "records") {
-            declared = parseUint(value, ok);
-            saw_count = true;
-        } else {
-            lineFail(csprintf(
-                "unknown directive \"%s\" (known: benchmark, seed, "
-                "codeBase, dataBase, records, r, #-comments)",
-                tok.c_str()));
-        }
-        if (!ok)
-            lineFail(csprintf("bad value \"%s\" for \"%s\"",
-                              value.c_str(), tok.c_str()));
-    }
-
-    if (!saw_version)
-        fail("empty trace: a text trace must start with \"strc v1\"");
-    if (hdr.benchmark.empty())
-        fail("missing \"benchmark <name>\" header line");
-    if (saw_count && declared != record_lines)
-        fail(csprintf("header declares %llu records but the file "
-                      "holds %llu record lines",
-                      (unsigned long long)declared,
-                      (unsigned long long)record_lines));
-    hdr.recordCount = record_lines;
-}
-
-void
 TraceReader::loadBlock(std::uint64_t block)
 {
     const IndexEntry &e = index[block];
@@ -770,7 +511,6 @@ TraceReader::loadBlock(std::uint64_t block)
             fail(csprintf("truncated payload for block %llu",
                           (unsigned long long)block));
     } else {
-#ifdef SMTFETCH_HAVE_ZLIB
         blockScratch.resize(stored_bytes);
         if (!is.read(blockScratch.data(), stored_bytes))
             fail(csprintf("truncated payload for block %llu",
@@ -786,10 +526,6 @@ TraceReader::loadBlock(std::uint64_t block)
             fail(csprintf("block %llu does not inflate to the "
                           "declared %u bytes (corrupt payload)",
                           (unsigned long long)block, raw_bytes));
-#else
-        // The codec was validated against this build at open time.
-        fail("deflate block in a build without zlib");
-#endif
     }
     curBlock = block + 1;
     blockFirst = e.firstRecord;
@@ -845,13 +581,8 @@ TraceReader::recordFail(const std::string &what)
 bool
 TraceReader::next(PackedTraceRecord &out)
 {
-    if (headerOnly || count >= hdr.recordCount)
+    if (count >= hdr.recordCount)
         return false;
-
-    if (hdr.text) {
-        out = textRecords[count++];
-        return true;
-    }
 
     if (curBlock == 0 || blockPos == blockLen)
         loadBlock(count / hdr.blockRecords);
@@ -870,9 +601,6 @@ TraceReader::skipTo(std::uint64_t record_index)
                       (unsigned long long)record_index,
                       (unsigned long long)hdr.recordCount));
     count = record_index;
-    if (hdr.text || headerOnly)
-        return;
-
     if (record_index == hdr.recordCount) {
         // End-of-trace: no block need be resident.
         curBlock = 0;
@@ -898,7 +626,7 @@ TraceReader::fail(const std::string &what) const
 TraceFileHeader
 readTraceHeader(const std::string &path)
 {
-    TraceFileHeader hdr = TraceReader(path, /*header_only=*/true).header();
+    TraceFileHeader hdr = TraceReader(path).header();
     std::string known;
     for (const auto &p : allProfiles()) {
         if (p.name == hdr.benchmark)

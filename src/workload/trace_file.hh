@@ -5,17 +5,12 @@
  * A trace file holds one thread's correct-path dynamic instruction
  * sequence plus the header needed to rebuild the static program it
  * executes over (benchmark profile name, build seed, code/data bases).
- * Two encodings share the same logical content:
- *
- *  - binary (`.trc`, format version 2): a little-endian header, the
- *    packed 20-byte records grouped into framed blocks — optionally
- *    deflate-compressed — and a trailing per-block seek index, so
- *    replay streams one block at a time in bounded memory and
- *    checkpoint restore seeks instead of re-reading the prefix. It
- *    is the format `smtsim --record` writes and FileTraceStream
- *    replays;
- *  - text (`.strc`): a line-oriented rendering for hand-written test
- *    fixtures and human inspection.
+ * There is one encoding (format version 2): a little-endian header,
+ * the packed 20-byte records grouped into framed blocks — raw or
+ * deflate-compressed — and a trailing per-block seek index, so replay
+ * streams one block at a time in bounded memory and checkpoint
+ * restore seeks instead of re-reading the prefix. It is the format
+ * `smtsim --record` and tracegen write and FileTraceStream replays.
  *
  * Every malformed input is a TraceFileError with an actionable
  * message, never UB: bad magic, version skew, truncated headers and
@@ -69,15 +64,7 @@ constexpr std::size_t traceRecordBytes = 20;
 /// @{
 constexpr std::uint8_t traceCodecRaw = 0;     //!< stored verbatim
 constexpr std::uint8_t traceCodecDeflate = 1; //!< zlib deflate
-/** Writer-option sentinel: deflate when built with zlib, else raw. */
-constexpr std::uint8_t traceCodecAuto = 0xff;
 /// @}
-
-/** Can this build decode blocks stored with `codec`? */
-bool traceCodecAvailable(std::uint8_t codec);
-
-/** Human-readable codec name ("raw", "deflate", ...). */
-const char *traceCodecName(std::uint8_t codec);
 
 /** Records per full block (80 KB of raw payload). */
 constexpr std::uint32_t traceBlockRecordsDefault = 4096;
@@ -96,9 +83,8 @@ struct TraceFileHeader
     Addr codeBase = 0;           //!< program base address
     Addr dataBase = 0;           //!< data region base address
     std::uint64_t recordCount = 0;
-    bool text = false;           //!< encoding of the backing file
 
-    /** @name Block layout (binary encoding only). */
+    /** @name Block layout. */
     /// @{
     std::uint8_t codec = traceCodecRaw;
     std::uint32_t blockRecords = 0; //!< records per full block
@@ -109,7 +95,7 @@ struct TraceFileHeader
 
 /**
  * One decoded trace record, independent of any program image. The
- * binary encoding packs pc/nextPc as 32-bit word offsets from
+ * file packs pc/nextPc as 32-bit word offsets from
  * codeBase, one info byte (op kind, CTI direction, mem-class flag),
  * the register-dependency depth and the memory effective address.
  */
@@ -123,25 +109,21 @@ struct PackedTraceRecord
     std::uint8_t depDepth = 0;   //!< register source-operand count
 };
 
-/** Does the path name the text encoding (`.strc`)? */
-bool traceFileIsText(const std::string &path);
-
-/** Knobs for TraceWriter's binary encoding: codec, block size. */
+/** Knobs for TraceWriter's encoding: codec, block size. */
 struct TraceWriteOptions
 {
-    /** Block codec; traceCodecAuto resolves per build. */
-    std::uint8_t codec = traceCodecAuto;
+    /** Block codec: traceCodecRaw or traceCodecDeflate. */
+    std::uint8_t codec = traceCodecDeflate;
 
     /** Records per full block (the steady-state buffer size). */
     std::uint32_t blockRecords = traceBlockRecordsDefault;
 };
 
 /**
- * Streaming trace capture. The encoding follows the path's extension.
- * The header's recordCount and block index are patched on close();
- * for text the buffered records are flushed then; destruction
- * closes. Binary capture buffers at most one record block, so its
- * memory stays O(block) regardless of trace length.
+ * Streaming trace capture. The header's recordCount and block index
+ * are patched on close(); destruction closes. Capture buffers at most
+ * one record block, so its memory stays O(block) regardless of trace
+ * length.
  */
 class TraceWriter
 {
@@ -188,16 +170,13 @@ class TraceWriter
         std::uint64_t firstRecord;
     };
     std::vector<IndexEntry> index;
-
-    /** Text records buffered until close (fixtures are small). */
-    std::vector<PackedTraceRecord> textRecords;
 };
 
 /**
- * Sequential trace decoder for both encodings. The constructor
- * validates the whole header — including that the block index is
- * self-consistent — so corruption surfaces before any simulation
- * starts. Binary payloads decode one block at a time: memory stays
+ * Sequential trace decoder. The constructor validates the whole
+ * header — including that the block index is self-consistent — so
+ * corruption surfaces before any simulation starts. Payloads decode
+ * one block at a time: memory stays
  * O(block) however long the trace is. Every malformed-input error
  * names the file and where the offending data sits: its byte offset,
  * or, inside a deflated block, the block and the record's index in
@@ -206,14 +185,7 @@ class TraceWriter
 class TraceReader
 {
   public:
-    /**
-     * @param header_only Validate and expose the header without
-     *        decoding records (next() then reports end-of-trace);
-     *        spares re-tokenizing every line of a text trace when
-     *        only the header is needed (readTraceHeader).
-     */
-    explicit TraceReader(const std::string &path,
-                         bool header_only = false);
+    explicit TraceReader(const std::string &path);
 
     const TraceFileHeader &header() const { return hdr; }
 
@@ -247,13 +219,11 @@ class TraceReader
 
     /** Fail naming where the record at blockPos sits. */
     [[noreturn]] void recordFail(const std::string &what);
-    void parseText(bool header_only);
 
     std::string filePath;
     TraceFileHeader hdr;
     std::ifstream is;
     std::uint64_t count = 0;
-    bool headerOnly = false;
 
     /** File offset for error messages (next unread structure). */
     std::uint64_t errOffset = 0;
@@ -276,15 +246,14 @@ class TraceReader
     std::uint32_t blockLen = 0;      //!< records in the block
     std::uint32_t blockPos = 0;      //!< next record within it
     /// @}
-
-    /** Text encoding is fully parsed up front (fixture-sized). */
-    std::vector<PackedTraceRecord> textRecords;
 };
 
 /**
- * Parse just the header of a trace file (workload construction).
- * TraceFileError, naming the file, when it is unreadable or malformed
- * or when its benchmark is not one of allProfiles().
+ * The validated header of a trace file (workload construction): opens
+ * a TraceReader, so the block index is checked too, before any
+ * simulation runs. TraceFileError, naming the file, when it is
+ * unreadable or malformed or when its benchmark is not one of
+ * allProfiles().
  */
 TraceFileHeader readTraceHeader(const std::string &path);
 

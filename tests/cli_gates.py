@@ -312,7 +312,7 @@ def resume_kill(g):
 def corpus_manifest(g):
     manifest = g.work / "corpus" / "manifest.json"
     g.mkdirs("corpus")
-    for bench, codec in (("gzip", "raw"), ("mcf", "auto")):
+    for bench, codec in (("gzip", "raw"), ("mcf", "deflate")):
         g.tgen("--insts", 100000, "--codec", codec, "--manifest",
                "corpus/manifest.json", bench, f"corpus/{bench}.trc")
 
@@ -372,15 +372,17 @@ def bad_flags(g):
         ("tracegen", "--seed", ["--seed", huge]),
         ("tracegen", "--code-base", ["--code-base", "-0x10"]),
         ("tracegen", "--data-base", ["--data-base", "0x" + "f" * 17]),
-        ("tracegen", "--block-records", ["--block-records", "0x10"]),
         ("smtsim", "--warmup", ["--warmup", huge]),
         ("smtsim", "--measure", ["--measure", "-5"]),
         ("smtsim", "--seed", ["--seed", "1e3"]),
         ("smtsim", "--record-pad", ["--record-pad", " 7"]),
         ("smtsim", "--record-pad", ["--record-pad", "100"]),
-        # Removed flag: the checkpoint directory is the one store.
+        # Removed flags and values: the checkpoint directory is the
+        # one store; deflate is always built, blocks are fixed-size.
         ("smtsim", "--save-checkpoint",
          ["--save-checkpoint", "out/x.ckpt"]),
+        ("tracegen", "--block-records", ["--block-records", "16"]),
+        ("tracegen", "--codec", ["--codec", "auto"]),
     ]
     for tool, flag, argv in cases:
         out = g.work / "out"

@@ -202,26 +202,67 @@ TEST(EngineZoo, EngineParamOverridesAreValidated)
         "out of range");
 }
 
-TEST(EngineZoo, AdaptiveAndOracleParamsAreBoolPresets)
+TEST(EngineZoo, EngineParamsAreScopedToTheirEngines)
 {
-    // The preset engines flip EngineParams flags the registry
-    // declares as bool specs; applying the preset is visible through
-    // the schema's get().
-    const EngineRegistry &reg = EngineRegistry::instance();
-    struct Expect
+    // An engine parameter must be declared by every engine of its
+    // block: another engine's parameter would be ignored, and the
+    // oracle flags are selected by engine name, not by a parameter.
+    struct Case
     {
-        EngineKind kind;
-        const char *flag;
+        const char *engine;
+        const char *overrides;
     };
-    for (const auto &[kind, flag] :
-         {Expect{EngineKind::PerfectBp, "perfectBp"},
-          Expect{EngineKind::PerfectL1i, "perfectIcache"},
-          Expect{EngineKind::Adaptive, "adaptiveFetch"}}) {
-        const EngineParamSpec *spec = reg.findParam(flag);
-        ASSERT_NE(spec, nullptr) << flag;
-        EngineParams p;
-        EXPECT_EQ(spec->get(p), 0u) << flag;
-        applyEnginePreset(kind, p);
-        EXPECT_EQ(spec->get(p), 1u) << flag;
+    for (const auto &[engine, overrides] :
+         {Case{"stream", R"({"perfectBp": 1})"},
+          Case{"stream", R"({"gshareEntries": 1024})"},
+          Case{"perfect-bp", R"({"perfectBp": 0})"}}) {
+        const std::string spec =
+            std::string(R"({"name": "x", "workloads": ["2_MIX"],
+                "policies": ["1.8"], "engines": [")") +
+            engine + R"("], "overrides": )" + overrides + "}";
+        expectSpecError([&] { SweepSpec::fromString(spec); },
+                        std::string("for engine \"") + engine + "\"");
     }
+    // The error lists what the engine does declare.
+    expectSpecError(
+        [] {
+            SweepSpec::fromString(R"({
+                "name": "x", "workloads": ["2_MIX"],
+                "engines": ["gshare+BTB", "tage"], "policies": ["1.8"],
+                "overrides": { "tageTables": [4] }
+            })");
+        },
+        "unknown override \"tageTables\" for engine \"gshare+BTB\" "
+        "(known: ftqEntries, fetchBufferSize, robEntries, "
+        "longLoadPolicy, longLoadThreshold, predictorShift, and the "
+        "engine's parameters gshareEntries, ");
+}
+
+TEST(EngineZoo, AdaptiveAndOracleEnginesArePresets)
+{
+    // The preset engines set their EngineParams flag directly; no
+    // schema exposes the flags as parameters.
+    const EngineRegistry &reg = EngineRegistry::instance();
+    for (const char *key : {"perfectBp", "perfectIcache", "adaptiveFetch"})
+        EXPECT_EQ(reg.findParam(key), nullptr) << key;
+
+    EngineParams p;
+    EXPECT_FALSE(p.perfectBp || p.perfectIcache || p.adaptiveFetch);
+    applyEnginePreset(EngineKind::GshareBtb, p);
+    EXPECT_FALSE(p.perfectBp || p.perfectIcache || p.adaptiveFetch);
+
+    EngineParams bp;
+    applyEnginePreset(EngineKind::PerfectBp, bp);
+    EXPECT_TRUE(bp.perfectBp);
+    EXPECT_FALSE(bp.perfectIcache || bp.adaptiveFetch);
+
+    EngineParams l1i;
+    applyEnginePreset(EngineKind::PerfectL1i, l1i);
+    EXPECT_TRUE(l1i.perfectIcache);
+    EXPECT_FALSE(l1i.perfectBp || l1i.adaptiveFetch);
+
+    EngineParams adaptive;
+    applyEnginePreset(EngineKind::Adaptive, adaptive);
+    EXPECT_TRUE(adaptive.adaptiveFetch);
+    EXPECT_FALSE(adaptive.perfectBp || adaptive.perfectIcache);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Resumable-sweep tests: the journal's entry codec round trips
- * losslessly, and a sweep run through ExperimentRunner with a
+ * losslessly and decodes overrides through the spec parser, and a
+ * sweep run through ExperimentRunner with a
  * checkpointDir journal (the `smtsim --checkpoint-dir` path) resumes
  * by skipping every journaled point with zero re-simulated warmups —
  * missing points restore their warmups from the disk snapshot tier.
@@ -23,6 +24,7 @@
 #include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/scheduler.hh"
+#include "sim/sweep_spec.hh"
 #include "util/json.hh"
 
 using namespace smt;
@@ -118,6 +120,34 @@ TEST(ResultCodec, ExecutedResultRoundTripsLosslessly)
     ExperimentRunner::writeJson(a, "t", {r});
     ExperimentRunner::writeJson(b, "t", {back});
     EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(ResultCodec, OverridesDecodeThroughTheSpecParser)
+{
+    ExperimentResult r;
+    r.workload = "gzip";
+    r.overrides.ftqEntries = 4;
+    r.overrides.longLoadPolicy = LongLoadPolicy::Stall;
+    r.overrides.predictorShift = 2;
+    r.overrides.engineParams = {{"gshareEntries", 1024}};
+    r.statsJson = "{}";
+    std::string line = encodeResult(r);
+    EXPECT_EQ(decodeResult(jsonParse(line)).overrides, r.overrides);
+
+    // The spec parser's range and engine-scope checks apply.
+    r.overrides = RunOverrides{};
+    const std::string plain = encodeResult(r);
+    auto decodeWith = [&](const std::string &overrides) {
+        std::string bad = plain;
+        std::size_t at = bad.find("\"warmupCycles\"");
+        bad.insert(at, "\"overrides\": " + overrides + ", ");
+        return decodeResult(jsonParse(bad));
+    };
+    EXPECT_THROW(decodeWith(R"({"predictorShift": 9})"), SpecError);
+    EXPECT_THROW(decodeWith(R"({"ftqEntries": 0})"), SpecError);
+    EXPECT_THROW(decodeWith(R"({"tageTables": 4})"), SpecError);
+    EXPECT_THROW(decodeWith(R"({"ftqEntries": [2, 4]})"),
+                 std::runtime_error);
 }
 
 TEST(ResultCodec, SweepRequestKeyTracksRequestIdentity)
@@ -249,6 +279,44 @@ TEST(Journal, RequestKeyMismatchNamesTheJournalToDelete)
     SweepReport run = runJournaled(other, "mismatch");
     EXPECT_EQ(run.timing.journaledPoints, 0u);
     EXPECT_EQ(run.results.size(), other.points.size());
+}
+
+TEST(Journal, BadJournaledOverridesNameTheJournal)
+{
+    SweepRequest req = smallRequest(freshDir("journal_overrides"));
+    runJournaled(req, "overrides");
+
+    // An out-of-range override on an entry that is not the torn tail.
+    std::string path = SweepJournal::pathFor(req.checkpointDir,
+                                             "overrides");
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 1 + req.points.size());
+    std::size_t at = lines[1].find("\"warmupCycles\"");
+    ASSERT_NE(at, std::string::npos);
+    lines[1].insert(at, "\"overrides\": {\"predictorShift\": 9}, ");
+    {
+        std::ofstream out(path, std::ios::trunc);
+        for (const std::string &line : lines)
+            out << line << '\n';
+    }
+    try {
+        runJournaled(req, "overrides");
+        FAIL() << "expected JournalError";
+    } catch (const JournalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find(path + " line 2 is corrupt"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("predictorShift must be at most 6"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(Journal, V1JournalNamesTheFileToDelete)

@@ -418,7 +418,7 @@ TEST(SweepSpec, TraceWorkloadsParseIntoTraceNames)
         "workloads": [
             "2_MIX",
             {"trace": "fig2.t0.trc"},
-            {"trace": ["a.trc", "b.strc"]}
+            {"trace": ["a.trc", "b.trc"]}
         ],
         "engines": ["gshare+BTB"],
         "policies": ["1.8"]
@@ -427,7 +427,7 @@ TEST(SweepSpec, TraceWorkloadsParseIntoTraceNames)
     ASSERT_EQ(points.size(), 3u);
     EXPECT_EQ(points[0].workload, "2_MIX");
     EXPECT_EQ(points[1].workload, "trace:fig2.t0.trc");
-    EXPECT_EQ(points[2].workload, "trace:a.trc,b.strc");
+    EXPECT_EQ(points[2].workload, "trace:a.trc,b.trc");
 
     // The committed trace configs expand without the trace files
     // existing (they are recorded by the user before running).

@@ -3,12 +3,12 @@
  * tracegen: generate a trace file straight from a synthetic
  * benchmark profile, without running the cycle-level pipeline.
  *
- * Useful for producing replay inputs (and text fixtures) much faster
- * than `smtsim --record`, since only the correct-path generator runs.
- * The output's extension picks the encoding: `.strc` is the text
- * format, anything else the packed binary format.
+ * Useful for producing replay inputs much faster than
+ * `smtsim --record`, since only the correct-path generator runs. The
+ * output is a format-version-2 trace file with deflate-compressed
+ * record blocks (`--codec raw` stores them verbatim).
  *
- * Usage: tracegen [options] <benchmark> <out.trc|out.strc>
+ * Usage: tracegen [options] <benchmark> <out.trc>
  */
 
 #include <cstdio>
@@ -35,7 +35,7 @@ usage(std::FILE *out)
 {
     std::fprintf(
         out,
-        "usage: tracegen [options] <benchmark> <out.trc|out.strc>\n"
+        "usage: tracegen [options] <benchmark> <out.trc>\n"
         "\n"
         "Generates a correct-path trace file from a synthetic\n"
         "benchmark profile. Replay it with a {\"trace\": PATH}\n"
@@ -46,16 +46,12 @@ usage(std::FILE *out)
         "  --seed N       image-construction seed (default 0)\n"
         "  --code-base A  code base address (default 0x400000)\n"
         "  --data-base A  data base address (default 0x40000000)\n"
-        "  --codec C      block codec: raw, deflate or auto\n"
-        "                 (default auto: deflate when built with\n"
-        "                 zlib, raw otherwise)\n"
-        "  --block-records N\n"
-        "                 records per block (default %u)\n"
+        "  --codec C      block codec: raw or deflate (default\n"
+        "                 deflate)\n"
         "  --manifest P   append the trace to corpus manifest P,\n"
         "                 creating it if needed\n"
         "  --list         list the benchmark profiles and exit\n"
-        "  -h, --help     show this help\n",
-        traceBlockRecordsDefault);
+        "  -h, --help     show this help\n");
 }
 
 /** Parse a numeric flag value; addresses also take 0x-hex. */
@@ -159,25 +155,13 @@ main(int argc, char **argv)
                 options.codec = traceCodecRaw;
             } else if (c == "deflate") {
                 options.codec = traceCodecDeflate;
-            } else if (c == "auto") {
-                options.codec = traceCodecAuto;
             } else {
                 std::fprintf(stderr,
-                             "tracegen: --codec expects raw, "
-                             "deflate or auto, got \"%s\"\n",
+                             "tracegen: --codec expects raw or "
+                             "deflate, got \"%s\"\n",
                              c.c_str());
                 return 1;
             }
-        } else if (arg == "--block-records") {
-            std::uint64_t n = parseNum("--block-records", next());
-            if (n == 0 || n > (1u << 22)) {
-                std::fprintf(stderr,
-                             "tracegen: --block-records must be in "
-                             "[1, %u], got %llu\n",
-                             1u << 22, (unsigned long long)n);
-                return 1;
-            }
-            options.blockRecords = static_cast<std::uint32_t>(n);
         } else if (arg == "--manifest") {
             manifest_path = next();
         } else if (!arg.empty() && arg[0] == '-') {
@@ -228,11 +212,10 @@ main(int argc, char **argv)
         writer.close();
 
         const TraceStats &s = stream.stats();
-        std::printf("wrote %s: %llu records (%s), avg block %.2f, "
+        std::printf("wrote %s: %llu records, avg block %.2f, "
                     "avg stream %.2f\n",
                     out_path.c_str(),
                     (unsigned long long)writer.recordsWritten(),
-                    traceFileIsText(out_path) ? "text" : "binary",
                     s.avgBlockSize(), s.avgStreamLength());
 
         if (!manifest_path.empty())
