@@ -16,15 +16,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bpred/engine_registry.hh"
-#include "sim/journal.hh"
-#include "sim/scheduler.hh"
+#include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep_spec.hh"
 #include "util/flag_value.hh"
@@ -95,11 +93,11 @@ usage(std::FILE *out)
         "  --checkpoint-dir DIR\n"
         "                 run each unique warmup once and restore\n"
         "                 its snapshot for the other grid points\n"
-        "                 (bit-identical), persisting snapshots in\n"
-        "                 DIR for reuse across sweeps; also journal\n"
-        "                 every finished point to\n"
-        "                 DIR/journal_<name>.jsonl so a killed run\n"
-        "                 resumes where it stopped\n"
+        "                 (bit-identical). Snapshots persist in DIR,\n"
+        "                 keyed by the warmup configuration and this\n"
+        "                 smtsim binary, so later runs of the same\n"
+        "                 binary skip those warmups; a rebuilt\n"
+        "                 binary runs its own\n"
         "  --no-cycle-skip\n"
         "                 tick every cycle instead of fast-\n"
         "                 forwarding over quiescent spans (debug\n"
@@ -320,29 +318,7 @@ runOne(const Options &opt, const std::string &arg)
     if (!request.checkpointDir.empty())
         ensureWritableDir(request.checkpointDir);
 
-    // A checkpoint directory also makes the sweep resumable: every
-    // finished point is journaled there, and a re-run skips the
-    // points an earlier (killed) run already journaled. Runs that
-    // write a trace file are not journaled — skipping their point
-    // would skip the file.
-    SweepSubmitOptions submit;
-    if (!request.checkpointDir.empty() && opt.recordPath.empty()) {
-        submit.journal = std::make_shared<SweepJournal>(
-            request.checkpointDir, spec.benchName(), request);
-        submit.precompleted = submit.journal->completed();
-        if (!submit.precompleted.empty()) {
-            std::printf("resuming %s: %zu of %zu points already "
-                        "journaled in %s\n",
-                        spec.benchName().c_str(),
-                        submit.precompleted.size(),
-                        request.points.size(),
-                        request.checkpointDir.c_str());
-            std::fflush(stdout);
-        }
-    }
-
-    SweepReport report =
-        ExperimentRunner().run(request, std::move(submit));
+    SweepReport report = ExperimentRunner().run(request);
     const auto &results = report.results;
     const auto &points_run = request.points;
     if (!opt.recordPath.empty() && !opt.quiet) {
@@ -474,9 +450,6 @@ main(int argc, char **argv)
             std::fprintf(stderr, "smtsim: %s\n", e.what());
             return 2;
         } catch (const TraceFileError &e) {
-            std::fprintf(stderr, "smtsim: %s\n", e.what());
-            return 2;
-        } catch (const JournalError &e) {
             std::fprintf(stderr, "smtsim: %s\n", e.what());
             return 2;
         } catch (const std::invalid_argument &e) {

@@ -5,8 +5,8 @@
  * and print the headline metrics.
  *
  * Build & run:
- *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/quickstart
+ *   cmake -B build -S . && cmake --build build
+ *   ./build/quickstart
  */
 
 #include <iostream>

@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <ostream>
 
 #include "util/histogram.hh"
 #include "util/types.hh"
@@ -134,20 +133,6 @@ struct SimStats
     void save(CheckpointWriter &w) const;
     void restore(CheckpointReader &r);
     /// @}
-
-    void
-    dump(std::ostream &os) const
-    {
-        os << "cycles " << cycles << '\n'
-           << "fetchCycles " << fetchCycles << '\n'
-           << "instsFetched " << instsFetched << '\n'
-           << "wrongPathFetched " << wrongPathFetched << '\n'
-           << "instsCommitted " << instsCommitted << '\n'
-           << "instsSquashed " << instsSquashed << '\n'
-           << "mispredictsResolved " << mispredictsResolved << '\n'
-           << "IPFC " << ipfc() << '\n'
-           << "IPC " << ipc() << '\n';
-    }
 };
 
 } // namespace smt

@@ -78,24 +78,6 @@ MemoryHierarchy::resetStats()
 }
 
 void
-MemoryHierarchy::dumpStats(std::ostream &os) const
-{
-    auto dump_cache = [&os](const Cache &c) {
-        const auto &s = c.stats();
-        os << c.params().name << ": accesses=" << s.accesses
-           << " misses=" << s.misses << " missRate=" << s.missRate()
-           << " merges=" << s.mshrMerges << '\n';
-    };
-    dump_cache(*l1iCache);
-    dump_cache(*l1dCache);
-    dump_cache(*l2Cache);
-    os << "ITLB: accesses=" << iTlb->stats().accesses
-       << " misses=" << iTlb->stats().misses << '\n';
-    os << "DTLB: accesses=" << dTlb->stats().accesses
-       << " misses=" << dTlb->stats().misses << '\n';
-}
-
-void
 MemoryHierarchy::save(CheckpointWriter &w) const
 {
     l2Cache->save(w);

@@ -8,7 +8,6 @@
 #define SMTFETCH_MEM_HIERARCHY_HH
 
 #include <memory>
-#include <ostream>
 
 #include "mem/cache.hh"
 #include "mem/tlb.hh"
@@ -67,7 +66,6 @@ class MemoryHierarchy
 
     void reset();
     void resetStats();
-    void dumpStats(std::ostream &os) const;
 
     /**
      * Register all cache/TLB counters under "mem.*", including the

@@ -147,13 +147,6 @@ RunOverrides::writeJson(JsonWriter &jw) const
 SweepReport
 ExperimentRunner::run(const SweepRequest &request) const
 {
-    return run(request, SweepSubmitOptions{});
-}
-
-SweepReport
-ExperimentRunner::run(const SweepRequest &request,
-                      SweepSubmitOptions options) const
-{
     // A reuse-enabled run gets a private cache scoped to this call;
     // snapshots persist across calls in request.checkpointDir.
     std::optional<WarmupSnapshotCache> cache;
@@ -164,8 +157,7 @@ ExperimentRunner::run(const SweepRequest &request,
         defaultSweepWorkers(),
         (unsigned)std::max<std::size_t>(request.points.size(), 1));
     SweepScheduler scheduler(workers, cache ? &*cache : nullptr);
-    return scheduler.wait(
-        scheduler.submit(request, "", std::move(options)));
+    return scheduler.wait(scheduler.submit(request));
 }
 
 void
@@ -262,12 +254,6 @@ ExperimentRunner::writeJson(
                  static_cast<std::uint64_t>(timing->restoredRuns));
         jw.field("directRuns",
                  static_cast<std::uint64_t>(timing->directRuns));
-        // Only resumed sweeps have journal-served points; other
-        // records stay byte-identical.
-        if (timing->journaledPoints > 0)
-            jw.field("journaledPoints",
-                     static_cast<std::uint64_t>(
-                         timing->journaledPoints));
         jw.field("cacheDiskHits", timing->cacheDiskHits);
         jw.endObject();
     }

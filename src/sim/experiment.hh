@@ -24,7 +24,6 @@ namespace smt
 {
 
 class JsonWriter;
-struct SweepSubmitOptions;
 
 /**
  * Optional per-run deviations from the Table 3 baseline, used by the
@@ -156,11 +155,6 @@ struct SweepTiming
                                    //!< path (recording, unusable
                                    //!< snapshot)
 
-    /** Points satisfied from a resume journal without simulating
-     *  anything (counted in gridPoints but NOT inside
-     *  warmup/restored/direct). */
-    std::size_t journaledPoints = 0;
-
     /** Warmup sharing was active (the `warmupReuse` JSON block
      *  is only meaningful — and only emitted — when true). */
     bool reuseEnabled = false;
@@ -204,11 +198,6 @@ class ExperimentRunner
   public:
     /** Run a whole request, parallelized across host threads. */
     SweepReport run(const SweepRequest &request) const;
-
-    /** As above, forwarding `options` (a resume journal, a custom
-     *  point runner) to SweepScheduler::submit. */
-    SweepReport run(const SweepRequest &request,
-                    SweepSubmitOptions options) const;
 
     /**
      * Render a figure: one row per (workload, policy) group, one

@@ -61,8 +61,7 @@ SweepScheduler::Job::Job(const SweepRequest &request,
                request.checkpointDir),
       reuseEnabled(request.reuseEnabled() &&
                    (cache != nullptr || options.runner != nullptr)),
-      runner(std::move(options.runner)),
-      journal(std::move(options.journal))
+      runner(std::move(options.runner))
 {
     report.results.resize(points.size());
     auto &t = report.timing;
@@ -79,20 +78,8 @@ SweepScheduler::Job::Job(const SweepRequest &request,
         }
         t.warmupGroups = keys.size();
     }
-
-    // Prefill journaled completions: the report carries their
-    // original results, and they are never claimed.
-    std::vector<bool> done(points.size(), false);
-    for (JournalEntry &e : options.precompleted) {
-        if (e.index >= points.size() || done[e.index])
-            continue;
-        done[e.index] = true;
-        report.results[e.index] = std::move(e.result);
-        ++t.journaledPoints;
-    }
     for (std::size_t i = 0; i < points.size(); ++i)
-        if (!done[i])
-            pending.push_back(i);
+        pending.push_back(i);
 }
 
 unsigned
@@ -142,8 +129,7 @@ SweepScheduler::submit(const SweepRequest &request, std::string,
     Job &ref = *job;
     jobs.emplace(id, std::move(job));
     if (ref.pending.empty()) {
-        // Empty grid, or every point was already journaled by a
-        // previous run: finished immediately.
+        // Empty grid: finished immediately.
         finalizeLocked(ref);
     } else {
         runQueue.push_back(id);
@@ -172,11 +158,10 @@ void
 SweepScheduler::finalizeLocked(Job &job)
 {
     job.finished = true;
-    // Release the runner's captures and close the journal now, not
-    // when the scheduler is destroyed. Safe here — the job is
-    // drained, so no thread is inside the runner.
+    // Release the runner's captures now, not when the scheduler is
+    // destroyed. Safe here — the job is drained, so no thread is
+    // inside the runner.
     job.runner = nullptr;
-    job.journal.reset();
     cvDone.notify_all();
 }
 
@@ -217,10 +202,6 @@ SweepScheduler::workerLoop()
         } catch (...) {
             error = std::current_exception();
         }
-        // The journal has its own lock and flushes per line; keep
-        // the file write outside the scheduler lock.
-        if (!error && job.journal)
-            job.journal->append(i, outcome.result);
         lock.lock();
 
         --job.inFlight;

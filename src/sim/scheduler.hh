@@ -27,7 +27,6 @@
 
 #include "sim/executor.hh"
 #include "sim/experiment.hh"
-#include "sim/journal.hh"
 
 namespace smt
 {
@@ -43,18 +42,11 @@ class WarmupSnapshotCache;
 using PointRunner =
     std::function<PointOutcome(std::size_t, const GridPoint &)>;
 
-/** Per-submit extras: a custom point runner and resume support. */
+/** Per-submit extras: a custom point runner. */
 struct SweepSubmitOptions
 {
     /** Non-null routes every point through this runner. */
     PointRunner runner;
-
-    /** Journal every completed point here (resume support). */
-    std::shared_ptr<SweepJournal> journal;
-
-    /** Points already completed by a previous run: prefilled
-     *  into the report, never claimed, never re-simulated. */
-    std::vector<JournalEntry> precompleted;
 };
 
 /**
@@ -109,7 +101,6 @@ class SweepScheduler
         PointExecutor executor;
         bool reuseEnabled = false;
         PointRunner runner;
-        std::shared_ptr<SweepJournal> journal;
 
         std::deque<std::size_t> pending; //!< unclaimed, grid order
         std::size_t inFlight = 0; //!< points executing right now

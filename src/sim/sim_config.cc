@@ -1,7 +1,10 @@
 #include "sim/sim_config.hh"
 
+#include <stdexcept>
+
 #include "bpred/engine_registry.hh"
 #include "util/logging.hh"
+#include "util/sha256.hh"
 
 namespace smt
 {
@@ -54,28 +57,6 @@ table3Config(const std::string &workload_name, EngineKind engine,
                         policy);
 }
 
-std::string
-describeTable3(const CoreParams &p)
-{
-    std::string s;
-    s += csprintf("Fetch: %s, width %u, %u thread(s)/cycle, FTQ %u\n",
-                  p.policyString().c_str(), p.fetchWidth,
-                  p.fetchThreads, p.ftqEntries);
-    s += csprintf("Engine: %s\n", engineName(p.engine));
-    s += csprintf("Decode/Commit: %u/%u  FetchBuffer: %u  ROB: %u\n",
-                  p.decodeWidth, p.commitWidth, p.fetchBufferSize,
-                  p.robEntries);
-    s += csprintf("IQ: %u int / %u ld-st / %u fp  FUs: %u/%u/%u\n",
-                  p.intIqEntries, p.ldstIqEntries, p.fpIqEntries,
-                  p.intFUs, p.ldstFUs, p.fpFUs);
-    s += csprintf("Regs: %u int + %u fp\n", p.physIntRegs,
-                  p.physFpRegs);
-    s += csprintf(
-        "L1I/L1D 32KB 2-way 8-bank, L2 1MB 2-way 10cyc, mem %llu cyc\n",
-        (unsigned long long)p.memory.memoryLatency);
-    return s;
-}
-
 namespace
 {
 
@@ -99,6 +80,27 @@ appendStringKey(std::string &key, const std::string &s)
     key += csprintf("%zu:", s.size()) + s;
 }
 
+/**
+ * SHA-256 of the running executable, hashed once per process. It
+ * binds a warmup snapshot to the binary that wrote it, so a rebuilt
+ * simulator never restores a warmup run by different model code.
+ */
+const std::string &
+binaryFingerprint()
+{
+    static const std::string digest = [] {
+        try {
+            return sha256File("/proc/self/exe");
+        } catch (const std::runtime_error &e) {
+            throw std::runtime_error(csprintf(
+                "cannot fingerprint the simulator binary, which keys "
+                "every warmup snapshot: %s",
+                e.what()));
+        }
+    }();
+    return digest;
+}
+
 } // namespace
 
 std::string
@@ -108,7 +110,7 @@ warmupConfigKey(const SimConfig &config)
     const EngineParams &e = c.engineParams;
     const MemoryParams &m = c.memory;
 
-    std::string key = "smtfetch-warmup-v2";
+    std::string key = "smtfetch-warmup-v3|binary=" + binaryFingerprint();
     key += csprintf("|seed=%llu|warmup=%llu",
                     (unsigned long long)config.seed,
                     (unsigned long long)config.warmupCycles);

@@ -59,17 +59,17 @@ SimConfig table3Config(const std::string &workload_name,
                        unsigned fetch_width,
                        PolicyKind policy = PolicyKind::ICount);
 
-/** Render the Table 3 parameter block (bench harness headers). */
-std::string describeTable3(const CoreParams &params);
-
 /**
  * Canonical descriptor of everything that shapes a run's warmup
- * execution: workload (benchmarks, trace paths), seed, warmup window
- * and the full core/engine/memory parameter set. Two configurations
+ * execution: the simulator binary (the SHA-256 of /proc/self/exe),
+ * workload (benchmarks, trace paths), seed, warmup window and the
+ * full core/engine/memory parameter set. Two configurations
  * with equal keys execute bit-identical warmups, so they can share a
  * warmup checkpoint; measurement-only settings (measureCycles, record
  * paths, output options) are deliberately excluded. Also embedded in
- * every checkpoint file and verified on restore.
+ * every checkpoint file and verified on restore, so a rebuilt binary
+ * never restores an older binary's warmup. Throws std::runtime_error
+ * naming /proc/self/exe when the executable cannot be read.
  *
  * Keep in sync with CoreParams / EngineParams / MemoryParams: a field
  * that changes execution but is missing here would let two different

@@ -197,8 +197,13 @@ engineParamValue(EngineKind kind, const std::string &key,
                       key.c_str(), d.name, known.c_str()));
 }
 
-} // namespace
-
+/**
+ * Expand an "overrides" object into the cross product of its
+ * (possibly array-valued) members, in key order. Every value is
+ * range-checked, and an engine parameter must be declared by each of
+ * `engines`; SpecError, prefixed with `context`, naming the engine,
+ * on any problem.
+ */
 std::vector<RunOverrides>
 parseOverrides(const JsonValue &obj,
                const std::vector<EngineKind> &engines,
@@ -274,9 +279,6 @@ parseOverrides(const JsonValue &obj,
     }
     return combos;
 }
-
-namespace
-{
 
 SweepBlock
 parseSweepBlock(const JsonValue &v, const std::string &context)

@@ -67,19 +67,6 @@ void ensureWritableDir(const std::string &dir);
 std::string defaultConfigDir();
 
 /**
- * Expand an "overrides" object into the cross product of its
- * (possibly array-valued) members, in key order. Every value is
- * range-checked, and an engine parameter must be declared by each of
- * `engines`; SpecError, prefixed with `context`, naming the engine,
- * on any problem. A single-valued object yields exactly one
- * RunOverrides (the form the resume journal stores).
- */
-std::vector<RunOverrides>
-parseOverrides(const JsonValue &obj,
-               const std::vector<EngineKind> &engines,
-               const std::string &context);
-
-/**
  * One block of a spec: the cross product of workloads, engines, N.X
  * policies, selection policies and override variants.
  */

@@ -10,10 +10,9 @@ and exit codes and checks one determinism or robustness invariant:
                       run restores the cold run's snapshot and matches
                       the plain run
   warmup_cache        --checkpoint-dir sweeps match plain ones, a
-                      second pass restores every warmup from disk, and
-                      a corrupted directory falls back to plain runs
-  resume_kill         a SIGKILLed --checkpoint-dir sweep resumes to the
-                      uninterrupted run's results
+                      second pass restores every warmup from disk, a
+                      rebuilt binary runs its own warmups, and a
+                      corrupted directory falls back to plain runs
   corpus_manifest     tracegen manifests hash-check independently,
                       replay (also through an absolute manifest path),
                       and reject a tampered trace
@@ -30,22 +29,14 @@ CMake registers one `cli_<gate>` ctest per subcommand:
 import argparse
 import hashlib
 import json
-import os
-import re
 import shutil
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 CHECK_BENCH = ROOT / "tools" / "check_bench.py"
-
-# Short windows: enough to exercise every path, cheap enough for the
-# sanitizer builds.
-SHORT = ["--warmup", "2000", "--measure", "8000"]
 
 
 class GateFailure(Exception):
@@ -166,9 +157,6 @@ def checkpoint_engines(g):
         g.smt("--quiet", "--out-dir", "ck-plain", "ck.json")
         g.smt("--quiet", "--out-dir", "ck-cold", "--checkpoint-dir", ckpt,
               "ck.json")
-        # Without the journal the warm run simulates its point, so it
-        # must restore the cold run's snapshot.
-        (g.work / ckpt / "journal_ck.jsonl").unlink()
         g.smt("--quiet", "--out-dir", "ck-warm", "--checkpoint-dir", ckpt,
               "ck.json")
         plain = load(g.work / "ck-plain" / "BENCH_ck.json")["results"]
@@ -188,10 +176,7 @@ def warmup_cache(g):
     g.mkdirs("plain", "cold", "warm", "ckpt")
     g.smt("--quiet", "--out-dir", "plain", *specs)
     g.smt("--quiet", "--out-dir", "cold", "--checkpoint-dir", "ckpt", *specs)
-    # Without the resume journals the second pass simulates every
-    # point, so it must restore every warmup from disk.
-    for journal in (g.work / "ckpt").glob("journal_*.jsonl"):
-        journal.unlink()
+    # The second pass must restore every warmup from disk.
     g.smt("--quiet", "--out-dir", "warm", "--checkpoint-dir", "ckpt", *specs)
     for bench in ("fig2_single_thread", "fig4_two_threads"):
         plain = load(g.work / "plain" / f"BENCH_{bench}.json")
@@ -212,10 +197,45 @@ def warmup_cache(g):
                     for d in ("cold", "warm")
                     for b in ("fig2_single_thread", "fig4_two_threads")])
 
+    # Snapshots are keyed by the binary that wrote them. A copy of
+    # smtsim with one byte appended still runs, but is another binary:
+    # it must miss every snapshot and run its own warmups. fig4's grid
+    # holds every warmup of fig2's.
+    fig4 = "fig4_two_threads"
+    rebuilt = g.work / "smtsim-rebuilt"
+    shutil.copy2(g.smtsim, rebuilt)
+    with open(rebuilt, "ab") as f:
+        f.write(b"\0")
+    g.mkdirs("rebuilt", "again")
+    g.run([rebuilt, "--quiet", "--out-dir", "rebuilt", "--checkpoint-dir",
+           "ckpt", specs[1]])
+    # The original binary still finds its own snapshots.
+    g.smt("--quiet", "--out-dir", "again", "--checkpoint-dir", "ckpt",
+          specs[1])
+    plain = load(g.work / "plain" / f"BENCH_{fig4}.json")
+    other = load(g.work / "rebuilt" / f"BENCH_{fig4}.json")
+    again = load(g.work / "again" / f"BENCH_{fig4}.json")
+    reuse = other["warmupReuse"]
+    check(reuse["cacheDiskHits"] == 0
+          and reuse["warmupRuns"] == reuse["warmupGroups"],
+          f"the rebuilt binary reused another binary's snapshots: {reuse}")
+    check(other["results"] == plain["results"],
+          "the rebuilt binary's sweep differs from the plain sweep")
+    print("rebuilt binary ran its own warmups:", reuse)
+    reuse = again["warmupReuse"]
+    check(reuse["warmupRuns"] == 0
+          and reuse["restoredRuns"] == len(again["results"]),
+          f"the original binary did not restore every point after the "
+          f"rebuilt one ran: {reuse}")
+    check(again["results"] == plain["results"],
+          "the original binary's re-sweep differs from the plain sweep")
+    stray = sorted(p.name for p in (g.work / "ckpt").iterdir()
+                   if not p.name.startswith("smtckpt_"))
+    check(not stray, f"the checkpoint directory holds more than "
+          f"snapshots: {stray}")
+
     # Flip one payload byte in every snapshot: each restore must fail
     # its checksum, name the file, and fall back to a plain run.
-    for journal in (g.work / "ckpt").glob("journal_*.jsonl"):
-        journal.unlink()
     for snap in (g.work / "ckpt").glob("smtckpt_*.ckpt"):
         data = bytearray(snap.read_bytes())
         data[len(data) // 2] ^= 0x01
@@ -236,77 +256,6 @@ def warmup_cache(g):
               f"{corrupt['warmupReuse']}")
     print("corrupted directory fell back to plain runs:",
           err.strip().splitlines()[0])
-
-
-def journal_lines(path):
-    try:
-        with open(path) as f:
-            return f.read().count("\n")
-    except FileNotFoundError:
-        return 0
-
-
-def resume_kill(g):
-    big = CONFIGS / "ablation_big.json"
-    journal = g.work / "ckpt" / "journal_ablation_big.jsonl"
-    record = g.work / "resume" / "BENCH_ablation_big.json"
-    g.mkdirs("ref", "ckpt", "resume", "rerun")
-    g.smt("--quiet", "--out-dir", "ref", *SHORT, big)
-    ref = load(g.work / "ref" / "BENCH_ablation_big.json")["results"]
-
-    # Pinned to one CPU (so one worker), the first pass is slow enough
-    # that the kill lands mid-run.
-    cpu = min(os.sched_getaffinity(0))
-    first = subprocess.Popen(
-        [g.smtsim, "--quiet", "--checkpoint-dir", "ckpt", "--out-dir",
-         "resume", *SHORT, str(big)],
-        cwd=g.work,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-    )
-    try:
-        deadline = time.monotonic() + 600
-        while journal_lines(journal) < 40 and first.poll() is None:
-            check(time.monotonic() < deadline,
-                  "no journal progress in 600 s")
-            time.sleep(0.02)
-    finally:
-        first.send_signal(signal.SIGKILL)
-        first.wait()
-    with open(journal) as f:
-        total = json.loads(f.readline())["points"]
-    done = journal_lines(journal) - 1
-    print(f"killed the sweep with {done} of {total} points journaled")
-    check(total == len(ref), f"journal names {total} points, not {len(ref)}")
-    check(done > 0, "no points journaled before the kill")
-    check(done < total, "the sweep finished before the kill")
-    check(not record.exists(), "record written despite the kill")
-
-    out = g.smt("--quiet", "--checkpoint-dir", "ckpt", "--out-dir", "resume",
-                *SHORT, big).stdout
-    check(re.search(r"resuming ablation_big: .* already journaled", out),
-          f"the resumed run did not report the journal:\n{out}")
-    g.check_bench("--require-warmup-reuse", "--spec", big, record)
-    resumed = load(record)
-    check(resumed["results"] == ref,
-          "resumed results differ from the uninterrupted run")
-    reuse = resumed["warmupReuse"]
-    check(reuse["journaledPoints"] > 0, f"resume skipped nothing: {reuse}")
-    print("resumed identically;", reuse)
-
-    g.smt("--quiet", "--checkpoint-dir", "ckpt", "--out-dir", "rerun",
-          *SHORT, big)
-    rerun = load(g.work / "rerun" / "BENCH_ablation_big.json")
-    reuse = rerun["warmupReuse"]
-    check(reuse["warmupRuns"] == 0 and reuse["restoredRuns"] == 0,
-          f"a fully journaled re-run simulated points: {reuse}")
-    check(reuse["journaledPoints"] == len(ref),
-          f"re-run journaled {reuse['journaledPoints']} of {len(ref)}")
-    check(rerun["results"] == ref, "re-run results differ")
-    print("fully journaled re-run simulated nothing:", reuse)
-    # The snapshots of 684 points take hundreds of MB.
-    shutil.rmtree(g.work / "ckpt")
 
 
 def corpus_manifest(g):
@@ -400,8 +349,7 @@ def bad_flags(g):
 
 
 GATES = {f.__name__: f for f in (record_replay, checkpoint_engines,
-                                  warmup_cache, resume_kill, corpus_manifest,
-                                  bad_flags)}
+                                  warmup_cache, corpus_manifest, bad_flags)}
 
 
 def main():

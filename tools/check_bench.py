@@ -348,26 +348,11 @@ def check_warmup_reuse(reuse, result_count):
         raise CheckFailure("warmupReuse.warmupGroups exceeds gridPoints")
     if reuse["warmupRuns"] > reuse["warmupGroups"]:
         raise CheckFailure("warmupReuse.warmupRuns exceeds warmupGroups")
-    # journaledPoints: points a resumed `smtsim --checkpoint-dir` run
-    # satisfied from its journal without simulating anything. Only
-    # emitted when nonzero, so other records stay byte-identical.
-    journaled = reuse.get("journaledPoints", 0)
-    if not isinstance(journaled, int) or isinstance(journaled, bool) or journaled < 0:
-        raise CheckFailure(
-            f"warmupReuse.journaledPoints must be a non-negative integer, "
-            f"got {journaled!r}"
-        )
-    covered = (
-        reuse["warmupRuns"]
-        + reuse["restoredRuns"]
-        + reuse["directRuns"]
-        + journaled
-    )
+    covered = reuse["warmupRuns"] + reuse["restoredRuns"] + reuse["directRuns"]
     if covered != reuse["gridPoints"]:
         raise CheckFailure(
             f"warmupReuse accounting covers {covered} points, expected "
-            f"{reuse['gridPoints']} (warmupRuns + restoredRuns + directRuns "
-            "+ journaledPoints)"
+            f"{reuse['gridPoints']} (warmupRuns + restoredRuns + directRuns)"
         )
     check_warmup_reuse_disk_hits(reuse)
 
