@@ -245,7 +245,8 @@ runOne(const Options &opt, const std::string &arg)
     // Fail fast on an unwritable output directory: a typo'd
     // --out-dir should not cost a full grid run before erroring.
     if (opt.writeJson && !opt.list && !opt.validate)
-        ensureWritableDir(benchRecordDir(opt.outDir));
+        ensureWritableDir(benchRecordDir(opt.outDir),
+                          "output directory");
 
     if (spec.type == SpecType::Characteristics) {
         if (!opt.recordPath.empty()) {
@@ -316,7 +317,8 @@ runOne(const Options &opt, const std::string &arg)
     // A typo'd snapshot directory should fail in milliseconds, not
     // after the first warmup finishes.
     if (!request.checkpointDir.empty())
-        ensureWritableDir(request.checkpointDir);
+        ensureWritableDir(request.checkpointDir,
+                          "checkpoint directory");
 
     SweepReport report = ExperimentRunner().run(request);
     const auto &results = report.results;

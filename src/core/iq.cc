@@ -1,6 +1,7 @@
 #include "core/iq.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/rob.hh"
 #include "sim/checkpoint.hh"
@@ -10,205 +11,224 @@ namespace smt
 {
 
 IssueQueues::IssueQueues(unsigned int_cap, unsigned ldst_cap,
-                         unsigned fp_cap)
-    : intCap(int_cap), ldstCap(ldst_cap), fpCap(fp_cap)
+                         unsigned fp_cap, unsigned phys_int,
+                         unsigned phys_fp)
 {
-    intQ.reserve(int_cap);
-    ldstQ.reserve(ldst_cap);
-    fpQ.reserve(fp_cap);
+    const unsigned caps[3] = {int_cap, ldst_cap, fp_cap};
+    for (unsigned c = 0; c < 3; ++c) {
+        if (caps[c] > maxEntries)
+            panic("issue queue capacity %u exceeds %u", caps[c],
+                  maxEntries);
+        queues[c].capMask = caps[c] == maxEntries
+                                ? ~Mask{0}
+                                : (Mask{1} << caps[c]) - 1;
+    }
+    queueFor(IqClass::Int).waiters.resize(phys_int);
+    queueFor(IqClass::LdSt).waiters.resize(phys_int);
+    queueFor(IqClass::Fp).waiters.resize(phys_fp);
 }
 
-IssueQueues::Queue &
-IssueQueues::queueFor(IqClass c)
+unsigned
+IssueQueues::Queue::ageOrder(Mask slots,
+                             std::array<unsigned, maxEntries> &order) const
 {
-    switch (c) {
-      case IqClass::Int: return intQ;
-      case IqClass::LdSt: return ldstQ;
-      case IqClass::Fp: return fpQ;
+    // Insertion sort by stamp: the ready set is usually a handful of
+    // slots.
+    unsigned n = 0;
+    for (; slots != 0; slots &= slots - 1) {
+        unsigned s = static_cast<unsigned>(std::countr_zero(slots));
+        unsigned i = n++;
+        for (; i > 0 && stamp[order[i - 1]] > stamp[s]; --i)
+            order[i] = order[i - 1];
+        order[i] = s;
     }
-    panic("bad IQ class");
-}
-
-const IssueQueues::Queue &
-IssueQueues::queueFor(IqClass c) const
-{
-    switch (c) {
-      case IqClass::Int: return intQ;
-      case IqClass::LdSt: return ldstQ;
-      case IqClass::Fp: return fpQ;
-    }
-    panic("bad IQ class");
-}
-
-bool
-IssueQueues::hasSpace(IqClass c) const
-{
-    switch (c) {
-      case IqClass::Int: return intQ.size() < intCap;
-      case IqClass::LdSt: return ldstQ.size() < ldstCap;
-      case IqClass::Fp: return fpQ.size() < fpCap;
-    }
-    panic("bad IQ class");
+    return n;
 }
 
 void
-IssueQueues::insert(DynInst *inst)
+IssueQueues::Queue::wake(RegIndex phys)
 {
-    IqClass c = iqClassFor(inst->op);
-    if (!hasSpace(c))
+    auto &w = waiters[static_cast<std::size_t>(phys)];
+    wait1 &= ~w[0];
+    wait2 &= ~w[1];
+    w = {0, 0};
+}
+
+void
+IssueQueues::Queue::remove(unsigned slot)
+{
+    const Mask bit = Mask{1} << slot;
+    const DynInst *d = inst[slot];
+    if (wait1 & bit)
+        waiters[static_cast<std::size_t>(d->physSrc1)][0] &= ~bit;
+    if (wait2 & bit)
+        waiters[static_cast<std::size_t>(d->physSrc2)][1] &= ~bit;
+    valid &= ~bit;
+    wait1 &= ~bit;
+    wait2 &= ~bit;
+    threadSlots[d->tid] &= ~bit;
+}
+
+void
+IssueQueues::insert(DynInst *inst, const RenameUnit &rename)
+{
+    Queue &q = queueFor(iqClassFor(inst->op));
+    const Mask free = q.capMask & ~q.valid;
+    if (free == 0)
         panic("IQ overflow");
-    queueFor(c).push_back(entryFor(inst));
-    ++threadOcc[inst->tid];
-}
+    const unsigned slot = static_cast<unsigned>(std::countr_zero(free));
+    const Mask bit = Mask{1} << slot;
+    q.valid |= bit;
+    q.inst[slot] = inst;
+    q.stamp[slot] = nextStamp++;
+    q.threadSlots[inst->tid] |= bit;
 
-void
-IssueQueues::pickReady(const RenameUnit &rename, unsigned int_fus,
-                       unsigned ldst_fus, unsigned fp_fus,
-                       std::vector<DynInst *> &out)
-{
-    struct ClassPick
-    {
-        IqClass c;
-        unsigned limit;
-    };
-    const ClassPick picks[3] = {{IqClass::Int, int_fus},
-                                {IqClass::LdSt, ldst_fus},
-                                {IqClass::Fp, fp_fus}};
-
-    for (const auto &pick : picks) {
-        auto &q = queueFor(pick.c);
-        unsigned taken = 0;
-        // Queues are kept in dispatch (age) order; scan oldest first.
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < q.size(); ++r) {
-            const Entry e = q[r];
-            if (taken < pick.limit &&
-                rename.sourcesReady(e.physSrc1, e.physSrc2, e.fp)) {
-                out.push_back(e.inst);
-                --threadOcc[e.tid];
-                ++taken;
-            } else {
-                q[w++] = e;
-            }
-        }
-        q.resize(w);
+    const bool fp = usesFpRegs(inst->op);
+    if (!rename.isReady(inst->physSrc1, fp)) {
+        q.wait1 |= bit;
+        q.waiters[static_cast<std::size_t>(inst->physSrc1)][0] |= bit;
+    }
+    if (!rename.isReady(inst->physSrc2, fp)) {
+        q.wait2 |= bit;
+        q.waiters[static_cast<std::size_t>(inst->physSrc2)][1] |= bit;
     }
 }
 
-bool
-IssueQueues::hasReady(const RenameUnit &rename) const
+void
+IssueQueues::markReady(RenameUnit &rename, RegIndex phys, bool fp)
 {
-    for (const Queue *q : {&intQ, &ldstQ, &fpQ})
-        for (const Entry &e : *q)
-            if (rename.sourcesReady(e.physSrc1, e.physSrc2, e.fp))
-                return true;
-    return false;
+    if (phys == invalidReg)
+        return;
+    rename.markReady(phys, fp);
+    if (fp) {
+        queueFor(IqClass::Fp).wake(phys);
+    } else {
+        queueFor(IqClass::Int).wake(phys);
+        queueFor(IqClass::LdSt).wake(phys);
+    }
+}
+
+void
+IssueQueues::pickReady(unsigned int_fus, unsigned ldst_fus,
+                       unsigned fp_fus, std::vector<DynInst *> &out)
+{
+    const unsigned limits[3] = {int_fus, ldst_fus, fp_fus};
+    std::array<unsigned, maxEntries> order;
+    for (unsigned c = 0; c < 3; ++c) {
+        Queue &q = queues[c];
+        const Mask ready = q.readyMask();
+        if (ready == 0)
+            continue;
+        const unsigned n = std::min(q.ageOrder(ready, order), limits[c]);
+        for (unsigned i = 0; i < n; ++i) {
+            out.push_back(q.inst[order[i]]);
+            q.remove(order[i]);
+        }
+    }
 }
 
 void
 IssueQueues::squash(ThreadID tid, InstSeqNum seq)
 {
-    auto drop = [this, tid, seq](const Entry &e) {
-        if (e.tid != tid || e.inst->seq <= seq)
-            return false;
-        --threadOcc[tid];
-        return true;
-    };
-    for (auto *q : {&intQ, &ldstQ, &fpQ})
-        q->erase(std::remove_if(q->begin(), q->end(), drop), q->end());
+    for (Queue &q : queues)
+        for (Mask m = q.threadSlots[tid]; m != 0; m &= m - 1) {
+            unsigned slot = static_cast<unsigned>(std::countr_zero(m));
+            if (q.inst[slot]->seq > seq)
+                q.remove(slot);
+        }
 }
 
 unsigned
 IssueQueues::occupancy(IqClass c) const
 {
-    return static_cast<unsigned>(queueFor(c).size());
+    return static_cast<unsigned>(std::popcount(queueFor(c).valid));
 }
 
 unsigned
 IssueQueues::totalOccupancy() const
 {
-    return static_cast<unsigned>(intQ.size() + ldstQ.size() +
-                                 fpQ.size());
+    unsigned n = 0;
+    for (const Queue &q : queues)
+        n += static_cast<unsigned>(std::popcount(q.valid));
+    return n;
+}
+
+unsigned
+IssueQueues::threadOccupancy(ThreadID tid) const
+{
+    unsigned n = 0;
+    for (const Queue &q : queues)
+        n += static_cast<unsigned>(std::popcount(q.threadSlots[tid]));
+    return n;
 }
 
 void
 IssueQueues::clear()
 {
-    intQ.clear();
-    ldstQ.clear();
-    fpQ.clear();
-    threadOcc.fill(0);
-}
-
-namespace
-{
-
-template <typename Queue>
-void
-saveQueue(CheckpointWriter &w, const Queue &q)
-{
-    w.u32(static_cast<std::uint32_t>(q.size()));
-    for (const auto &e : q) {
-        w.i16(e.inst->tid);
-        w.u64(e.inst->seq);
+    for (Queue &q : queues) {
+        q.valid = q.wait1 = q.wait2 = 0;
+        q.threadSlots.fill(0);
+        std::fill(q.waiters.begin(), q.waiters.end(),
+                  std::array<Mask, 2>{0, 0});
     }
+    nextStamp = 0;
 }
-
-std::vector<DynInst *>
-restoreQueue(CheckpointReader &r, unsigned cap, Rob &rob,
-             const char *what)
-{
-    std::vector<DynInst *> q;
-    std::uint32_t n =
-        static_cast<std::uint32_t>(r.checkCount(r.u32(), 10, what));
-    if (n > cap)
-        r.fail(csprintf("%s queue holds %u entries but this "
-                        "configuration caps it at %u",
-                        what, n, cap));
-    q.clear();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        ThreadID tid = r.i16();
-        InstSeqNum seq = r.u64();
-        if (tid < 0 ||
-            static_cast<unsigned>(tid) >= rob.numThreads())
-            r.fail(csprintf("%s queue references thread %d, valid "
-                            "range is [0, %u) (corrupt reference)",
-                            what, (int)tid, rob.numThreads()));
-        DynInst *inst = rob.find(tid, seq);
-        if (inst == nullptr)
-            r.fail(csprintf("%s queue references instruction "
-                            "(thread %d, seq %llu) that is not in "
-                            "the restored ROB (corrupt reference)",
-                            what, (int)tid,
-                            (unsigned long long)seq));
-        q.push_back(inst);
-    }
-    return q;
-}
-
-} // namespace
 
 void
 IssueQueues::save(CheckpointWriter &w) const
 {
-    saveQueue(w, intQ);
-    saveQueue(w, ldstQ);
-    saveQueue(w, fpQ);
+    std::array<unsigned, maxEntries> order;
+    for (const Queue &q : queues) {
+        const unsigned n = q.ageOrder(q.valid, order);
+        w.u32(n);
+        for (unsigned i = 0; i < n; ++i) {
+            w.i16(q.inst[order[i]]->tid);
+            w.u64(q.inst[order[i]]->seq);
+        }
+    }
 }
 
 void
-IssueQueues::restore(CheckpointReader &r, Rob &rob)
+IssueQueues::restore(CheckpointReader &r, Rob &rob,
+                     const RenameUnit &rename)
 {
+    static const char *const names[3] = {"int issue", "ld/st issue",
+                                         "fp issue"};
     clear();
-    auto refill = [this](Queue &q, const std::vector<DynInst *> &insts) {
-        for (DynInst *inst : insts) {
-            q.push_back(entryFor(inst));
-            ++threadOcc[inst->tid];
+    for (unsigned c = 0; c < 3; ++c) {
+        const char *what = names[c];
+        const unsigned cap =
+            static_cast<unsigned>(std::popcount(queues[c].capMask));
+        std::uint32_t n =
+            static_cast<std::uint32_t>(r.checkCount(r.u32(), 10, what));
+        if (n > cap)
+            r.fail(csprintf("%s queue holds %u entries but this "
+                            "configuration caps it at %u",
+                            what, n, cap));
+        for (std::uint32_t i = 0; i < n; ++i) {
+            ThreadID tid = r.i16();
+            InstSeqNum seq = r.u64();
+            if (tid < 0 ||
+                static_cast<unsigned>(tid) >= rob.numThreads())
+                r.fail(csprintf("%s queue references thread %d, valid "
+                                "range is [0, %u) (corrupt reference)",
+                                what, (int)tid, rob.numThreads()));
+            DynInst *inst = rob.find(tid, seq);
+            if (inst == nullptr)
+                r.fail(csprintf("%s queue references instruction "
+                                "(thread %d, seq %llu) that is not in "
+                                "the restored ROB (corrupt reference)",
+                                what, (int)tid,
+                                (unsigned long long)seq));
+            if (static_cast<unsigned>(iqClassFor(inst->op)) != c)
+                r.fail(csprintf("%s queue references instruction "
+                                "(thread %d, seq %llu) of another "
+                                "queue's class (corrupt reference)",
+                                what, (int)tid,
+                                (unsigned long long)seq));
+            insert(inst, rename);
         }
-    };
-    refill(intQ, restoreQueue(r, intCap, rob, "int issue"));
-    refill(ldstQ, restoreQueue(r, ldstCap, rob, "ld/st issue"));
-    refill(fpQ, restoreQueue(r, fpCap, rob, "fp issue"));
+    }
 }
 
 } // namespace smt

@@ -1,5 +1,8 @@
 #include "core/params.hh"
 
+#include <utility>
+
+#include "core/iq.hh"
 #include "util/logging.hh"
 
 namespace smt
@@ -55,6 +58,14 @@ CoreParams::validate() const
     if (physFpRegs < numArchFpRegs * numThreads + 8)
         fatal("too few fp physical registers (%u) for %u threads",
               physFpRegs, numThreads);
+    const std::pair<const char *, unsigned> iq_sizes[] = {
+        {"intIqEntries", intIqEntries},
+        {"ldstIqEntries", ldstIqEntries},
+        {"fpIqEntries", fpIqEntries}};
+    for (const auto &[field, entries] : iq_sizes)
+        if (entries > IssueQueues::maxEntries)
+            fatal("%s %u exceeds the issue-queue limit of %u", field,
+                  entries, IssueQueues::maxEntries);
     if (robEntries < 8)
         fatal("ROB too small");
     if (ftqEntries == 0)

@@ -2,7 +2,7 @@
  * @file
  * Register rename unit: per-thread map tables, shared physical
  * register free lists (384 int + 384 fp in Table 3), and the
- * readiness scoreboard used by the issue queues.
+ * readiness scoreboard the issue queues read at insert.
  *
  * No values are tracked (the simulator is trace driven); renaming
  * exists to model the structural pressure wrong-path and stalled
@@ -57,7 +57,8 @@ class RenameUnit
      */
     void rollback(DynInst &inst);
 
-    /** Mark a physical register's value available (writeback). */
+    /** Mark a physical register's value available. Writeback goes
+     *  through IssueQueues::markReady, which also wakes waiters. */
     void markReady(RegIndex phys, bool fp);
 
     /** Is the operand available? invalidReg counts as ready. */
@@ -70,19 +71,12 @@ class RenameUnit
                    phys)] != 0;
     }
 
-    /** Are both sources (of register class `fp`) ready? */
-    bool
-    sourcesReady(RegIndex src1, RegIndex src2, bool fp) const
-    {
-        return isReady(src1, fp) && isReady(src2, fp);
-    }
-
     /** Are all of an instruction's sources ready? */
     bool
     sourcesReady(const DynInst &inst) const
     {
-        return sourcesReady(inst.physSrc1, inst.physSrc2,
-                            usesFpRegs(inst.op));
+        bool fp = usesFpRegs(inst.op);
+        return isReady(inst.physSrc1, fp) && isReady(inst.physSrc2, fp);
     }
 
     unsigned freeIntRegs() const

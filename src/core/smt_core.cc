@@ -1,7 +1,5 @@
 #include "core/smt_core.hh"
 
-#include <algorithm>
-
 #include "sim/checkpoint.hh"
 
 #include "util/logging.hh"
@@ -9,8 +7,21 @@
 namespace smt
 {
 
+namespace
+{
+
+/** Validate before any member is sized from the parameters. */
+const CoreParams &
+validated(const CoreParams &params)
+{
+    params.validate();
+    return params;
+}
+
+} // namespace
+
 SmtCore::SmtCore(const CoreParams &params)
-    : coreParams(params), memHierarchy(params.memory),
+    : coreParams(validated(params)), memHierarchy(params.memory),
       fetchEngine(makeEngine(params.engine, params.engineParams)),
       fetchPolicy(makePolicy(params.policy)),
       // A thread's in-flight instructions (fetched-but-undispatched
@@ -22,13 +33,12 @@ SmtCore::SmtCore(const CoreParams &params)
               2 * params.decodeWidth),
       rename(params.physIntRegs, params.physFpRegs, params.numThreads),
       iqs(params.intIqEntries, params.ldstIqEntries,
-          params.fpIqEntries),
+          params.fpIqEntries, params.physIntRegs, params.physFpRegs),
       exec(coreParams, memHierarchy),
       front(std::make_unique<FrontEnd>(coreParams, *fetchEngine,
                                        memHierarchy, *fetchPolicy, rob,
                                        simStats))
 {
-    coreParams.validate();
     fetchBuffer.setCapacity(coreParams.fetchBufferSize);
     for (auto &q : decodeQ)
         q.setCapacity(coreParams.decodeWidth);
@@ -211,8 +221,7 @@ SmtCore::quiescentAt(Cycle now)
         return false;
 
     // Issue: a waiting instruction with ready sources would issue.
-    // The scan is the most expensive check, so it runs last.
-    return !iqs.hasReady(rename);
+    return !iqs.hasReady();
 }
 
 Cycle
@@ -278,34 +287,6 @@ SmtCore::resetStats()
     memHierarchy.resetStats();
     fetchEngine->resetStats();
     statsRegistry.resetOwned();
-}
-
-void
-SmtCore::dumpPipeline(std::ostream &os) const
-{
-    static const char *stage_names[] = {"Fetched", "Decoded",
-                                        "Renamed", "Dispatched",
-                                        "Issued", "Done"};
-    for (unsigned t = 0; t < coreParams.numThreads; ++t) {
-        ThreadID tid = static_cast<ThreadID>(t);
-        os << "thread " << t << " inflight=" << rob.size(tid) << '\n';
-        std::size_t limit = std::min<std::size_t>(rob.size(tid), 40);
-        for (std::size_t i = 0; i < limit; ++i) {
-            const DynInst *inst = &rob.at(tid, i);
-            bool fp = usesFpRegs(inst->op);
-            os << "  seq=" << inst->seq << " pc=0x" << std::hex
-               << inst->pc << std::dec << " op="
-               << std::string(opName(inst->op))
-               << " stage=" << stage_names[static_cast<int>(inst->stage)]
-               << " wp=" << inst->wrongPath
-               << " s1=" << inst->physSrc1 << "("
-               << rename.isReady(inst->physSrc1, fp) << ")"
-               << " s2=" << inst->physSrc2 << "("
-               << rename.isReady(inst->physSrc2, fp) << ")"
-               << " dst=" << inst->physDst
-               << " mispred=" << inst->mispredicted << '\n';
-        }
-    }
 }
 
 namespace
@@ -614,7 +595,7 @@ SmtCore::restoreState(CheckpointReader &r)
     r.end();
 
     r.begin("core.iq");
-    iqs.restore(r, rob);
+    iqs.restore(r, rob, rename);
     r.end();
 
     r.begin("core.exec");

@@ -132,9 +132,6 @@ class SmtCore
      * tracing). Called after statistics are updated.
      */
     std::function<void(const DynInst &)> commitHook;
-
-    /** Dump every in-flight instruction (deadlock diagnostics). */
-    void dumpPipeline(std::ostream &os) const;
     /// @}
 
   private:
@@ -149,7 +146,7 @@ class SmtCore
     void executeStage();
 
     /** Apply the completions: mark instructions done, wake
-     *  dependents through the rename scoreboard, and resolve
+     *  dependents in the issue queues, and resolve
      *  execute-time mispredictions with a squash. */
     void writebackStage();
 

@@ -29,8 +29,7 @@ SmtCore::writebackStage()
         if (inst == nullptr || inst->stage != InstStage::Issued)
             continue; // squashed since issue
         inst->stage = InstStage::Done;
-        if (inst->physDst != invalidReg)
-            rename.markReady(inst->physDst, inst->dstIsFp);
+        iqs.markReady(rename, inst->physDst, inst->dstIsFp);
         if (inst->resolvesAtExecute()) {
             ++simStats.mispredictsResolved;
             switch (inst->op) {
@@ -113,7 +112,7 @@ void
 SmtCore::issueStage()
 {
     issueScratch.clear();
-    iqs.pickReady(rename, coreParams.intFUs, coreParams.ldstFUs,
+    iqs.pickReady(coreParams.intFUs, coreParams.ldstFUs,
                   coreParams.fpFUs, issueScratch);
 
     // Long-latency loads found this cycle: (tid, seq, data-ready).
@@ -170,7 +169,7 @@ SmtCore::dispatchStage()
             rename.rename(*inst);
             inst->stage = InstStage::Dispatched;
             inst->dispatchStamp = ++stampCounter;
-            iqs.insert(inst);
+            iqs.insert(inst, rename);
             ++robCount[tid];
             ++simStats.dispatched;
             q.pop_front();

@@ -986,7 +986,7 @@ benchRecordDir(const std::string &dir_override)
 }
 
 void
-ensureWritableDir(const std::string &dir)
+ensureWritableDir(const std::string &dir, const char *role)
 {
     std::string probe =
         dir + "/.smtfetch_write_probe_" + std::to_string(
@@ -1000,10 +1000,9 @@ ensureWritableDir(const std::string &dir)
         std::ofstream os(probe);
         if (!os || !(os << "probe"))
             throw SpecError(csprintf(
-                "output directory \"%s\" is not writable (cannot "
-                "create files in it) — create the directory or "
-                "pass a writable one",
-                dir.c_str()));
+                "%s \"%s\" is not writable (cannot create files in "
+                "it) — create the directory or pass a writable one",
+                role, dir.c_str()));
     }
     std::remove(probe.c_str());
 }

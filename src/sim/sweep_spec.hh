@@ -52,12 +52,14 @@ void validateWorkloadName(const std::string &name);
 std::string benchRecordDir(const std::string &dir_override = "");
 
 /**
- * Fail fast on an unwritable record directory: throws SpecError
- * naming the directory unless a file can actually be created in it.
- * The CLI calls this before running a grid so a typo'd --out-dir is
- * caught in milliseconds, not after minutes of simulation.
+ * Fail fast on an unwritable directory: throws SpecError naming the
+ * directory and its `role` ("output directory", "checkpoint
+ * directory") unless a file can actually be created in it. The CLI
+ * calls this before running a grid so a typo'd --out-dir or
+ * --checkpoint-dir is caught in milliseconds, not after minutes of
+ * simulation.
  */
-void ensureWritableDir(const std::string &dir);
+void ensureWritableDir(const std::string &dir, const char *role);
 
 /**
  * Directory where specs are resolved by bare name: the

@@ -17,7 +17,9 @@ and exit codes and checks one determinism or robustness invariant:
                       replay (also through an absolute manifest path),
                       and reject a tampered trace
   bad_flags           malformed numeric flags and removed flags fail,
-                      name the flag and write nothing
+                      name the flag and write nothing; a directory
+                      flag naming a regular file exits 2 naming its
+                      role
 
 Each gate works in a fresh --work-dir and deletes nothing outside it.
 CMake registers one `cli_<gate>` ctest per subcommand:
@@ -171,8 +173,13 @@ def checkpoint_engines(g):
 
 
 def warmup_cache(g):
-    specs = [CONFIGS / "fig2_single_thread.json",
+    # Short windows: every check compares one run with another, so the
+    # specs' full windows (and their claims, which the overrides skip)
+    # add time, not coverage.
+    window = ["--warmup", "2000", "--measure", "8000"]
+    specs = [*window, CONFIGS / "fig2_single_thread.json",
              CONFIGS / "fig4_two_threads.json"]
+    fig4_spec = [*window, specs[-1]]
     g.mkdirs("plain", "cold", "warm", "ckpt")
     g.smt("--quiet", "--out-dir", "plain", *specs)
     g.smt("--quiet", "--out-dir", "cold", "--checkpoint-dir", "ckpt", *specs)
@@ -208,10 +215,10 @@ def warmup_cache(g):
         f.write(b"\0")
     g.mkdirs("rebuilt", "again")
     g.run([rebuilt, "--quiet", "--out-dir", "rebuilt", "--checkpoint-dir",
-           "ckpt", specs[1]])
+           "ckpt", *fig4_spec])
     # The original binary still finds its own snapshots.
     g.smt("--quiet", "--out-dir", "again", "--checkpoint-dir", "ckpt",
-          specs[1])
+          *fig4_spec)
     plain = load(g.work / "plain" / f"BENCH_{fig4}.json")
     other = load(g.work / "rebuilt" / f"BENCH_{fig4}.json")
     again = load(g.work / "again" / f"BENCH_{fig4}.json")
@@ -346,6 +353,22 @@ def bad_flags(g):
         check(not any(out.iterdir()), f"{tool} {argv} wrote output")
         out.rmdir()
         print(f"{tool} {' '.join(argv)}: {err.strip()}")
+
+    # A directory flag naming a regular file fails before simulating,
+    # and the message names the flag's role.
+    (g.work / "afile").write_text("not a directory\n")
+    for flag, role in (("--out-dir", "output directory"),
+                       ("--checkpoint-dir", "checkpoint directory")):
+        out = g.work / "out"
+        out.mkdir()
+        argv = ["--out-dir", out, flag, "afile", "one.json"]
+        err = g.smt(*argv, expect_rc=2, timeout=30).stderr
+        want = f'{role} "afile" is not writable'
+        check(want in err, f"smtsim {flag} afile: error does not say "
+              f"{want!r}:\n{err}")
+        check(not any(out.iterdir()), f"smtsim {flag} afile wrote output")
+        out.rmdir()
+        print(f"smtsim {flag} afile: {err.strip()}")
 
 
 GATES = {f.__name__: f for f in (record_replay, checkpoint_engines,

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/fetch_policy.hh"
 #include "core/ftq.hh"
 #include "core/iq.hh"
 #include "core/params.hh"
 #include "core/rename.hh"
 #include "core/rob.hh"
+#include "sim/checkpoint.hh"
 
 namespace smt
 {
@@ -330,42 +336,53 @@ TEST(IqTest, ClassMapping)
 
 TEST(IqTest, CapacityPerClass)
 {
-    IssueQueues iqs(2, 2, 2);
+    IssueQueues iqs(2, 2, 2, 96, 96);
     RenameUnit ru(96, 96, 1);
     std::vector<DynInst> insts(3, makeAlu(0, invalidReg, invalidReg));
     for (auto &d : insts)
         d.si = nullptr; // no operands: always ready
-    iqs.insert(&insts[0]);
-    iqs.insert(&insts[1]);
+    iqs.insert(&insts[0], ru);
+    iqs.insert(&insts[1], ru);
     EXPECT_FALSE(iqs.hasSpace(IqClass::Int));
     EXPECT_TRUE(iqs.hasSpace(IqClass::LdSt));
 }
 
+TEST(IqTest, CapacityAboveMaskWidthRejected)
+{
+    CoreParams p;
+    p.intIqEntries = IssueQueues::maxEntries;
+    p.validate(); // 64 entries still fit one mask
+    p.ldstIqEntries = IssueQueues::maxEntries + 1;
+    EXPECT_EXIT(p.validate(), ::testing::ExitedWithCode(1),
+                "ldstIqEntries 65 exceeds");
+}
+
 TEST(IqTest, PickReadyRespectsFuLimits)
 {
-    IssueQueues iqs(8, 8, 8);
+    IssueQueues iqs(8, 8, 8, 96, 96);
     RenameUnit ru(96, 96, 1);
     std::vector<DynInst> insts(5);
     for (auto &d : insts) {
         d.tid = 0;
         d.op = OpClass::IntAlu; // no si: sources trivially ready
-        iqs.insert(&d);
+        iqs.insert(&d, ru);
     }
     std::vector<DynInst *> picked;
-    iqs.pickReady(ru, /*int_fus=*/3, 4, 3, picked);
+    iqs.pickReady(/*int_fus=*/3, 4, 3, picked);
     EXPECT_EQ(picked.size(), 3u);
     EXPECT_EQ(iqs.occupancy(IqClass::Int), 2u);
 }
 
 TEST(IqTest, SquashRemovesYounger)
 {
-    IssueQueues iqs(8, 8, 8);
+    IssueQueues iqs(8, 8, 8, 96, 96);
+    RenameUnit ru(96, 96, 2);
     std::vector<DynInst> insts(4);
     for (unsigned i = 0; i < 4; ++i) {
         insts[i].tid = i < 2 ? 0 : 1;
         insts[i].seq = 10 + i;
         insts[i].op = OpClass::IntAlu;
-        iqs.insert(&insts[i]);
+        iqs.insert(&insts[i], ru);
     }
     iqs.squash(0, 10); // removes thread 0 seq 11 only
     EXPECT_EQ(iqs.occupancy(IqClass::Int), 3u);
@@ -375,17 +392,17 @@ TEST(IqTest, SquashRemovesYounger)
 
 TEST(IqTest, IncrementalOccupancyCountersTrackEveryOperation)
 {
-    // threadOccupancy/totalOccupancy are incremental counters, not
-    // scans; they must agree with the queue contents after every
-    // kind of mutation (insert, pick, squash, clear).
-    IssueQueues iqs(8, 8, 8);
+    // threadOccupancy/totalOccupancy are read from the slot masks;
+    // they must agree with the queue contents after every kind of
+    // mutation (insert, pick, squash, clear).
+    IssueQueues iqs(8, 8, 8, 96, 96);
     RenameUnit ru(96, 96, 2);
     std::vector<DynInst> insts(6);
     for (unsigned i = 0; i < 6; ++i) {
         insts[i].tid = i % 2;
         insts[i].seq = i + 1;
         insts[i].op = i < 4 ? OpClass::IntAlu : OpClass::Load;
-        iqs.insert(&insts[i]);
+        iqs.insert(&insts[i], ru);
     }
     EXPECT_EQ(iqs.totalOccupancy(), 6u);
     EXPECT_EQ(iqs.threadOccupancy(0), 3u);
@@ -393,8 +410,7 @@ TEST(IqTest, IncrementalOccupancyCountersTrackEveryOperation)
 
     // Pick drains ready instructions from both classes.
     std::vector<DynInst *> picked;
-    iqs.pickReady(ru, /*int_fus=*/2, /*ldst_fus=*/1, /*fp_fus=*/1,
-                  picked);
+    iqs.pickReady(/*int_fus=*/2, /*ldst_fus=*/1, /*fp_fus=*/1, picked);
     ASSERT_EQ(picked.size(), 3u);
     unsigned t0 = 0;
     for (const DynInst *inst : picked)
@@ -416,21 +432,220 @@ TEST(IqTest, IncrementalOccupancyCountersTrackEveryOperation)
 
 TEST(IqTest, AgeOrderPreserved)
 {
-    IssueQueues iqs(8, 8, 8);
+    IssueQueues iqs(8, 8, 8, 96, 96);
     RenameUnit ru(96, 96, 1);
-    std::vector<DynInst> insts(3);
-    for (unsigned i = 0; i < 3; ++i) {
+    std::vector<DynInst> insts(4);
+    for (unsigned i = 0; i < 4; ++i) {
         insts[i].tid = 0;
         insts[i].seq = i;
-        insts[i].dispatchStamp = i;
         insts[i].op = OpClass::IntAlu;
-        iqs.insert(&insts[i]);
     }
+    for (unsigned i = 0; i < 3; ++i)
+        iqs.insert(&insts[i], ru);
     std::vector<DynInst *> picked;
-    iqs.pickReady(ru, 2, 4, 3, picked);
-    ASSERT_EQ(picked.size(), 2u);
+    iqs.pickReady(1, 0, 0, picked);
+    ASSERT_EQ(picked.size(), 1u);
     EXPECT_EQ(picked[0]->seq, 0u);
-    EXPECT_EQ(picked[1]->seq, 1u);
+
+    // The youngest entry reuses the freed lowest slot but is still
+    // selected last.
+    iqs.insert(&insts[3], ru);
+    picked.clear();
+    iqs.pickReady(2, 4, 3, picked);
+    ASSERT_EQ(picked.size(), 2u);
+    EXPECT_EQ(picked[0]->seq, 1u);
+    EXPECT_EQ(picked[1]->seq, 2u);
+}
+
+/**
+ * Reference model: the select the wakeup masks replaced. One
+ * age-ordered vector per class, scanned every call against the byte
+ * scoreboard of the rename unit.
+ */
+struct ScanIq
+{
+    std::array<std::vector<DynInst *>, 3> q;
+
+    void insert(DynInst *d) { q[int(iqClassFor(d->op))].push_back(d); }
+    void
+    pick(const RenameUnit &ru, const unsigned limit[3],
+         std::vector<DynInst *> &out)
+    {
+        for (unsigned c = 0; c < 3; ++c) {
+            unsigned taken = 0;
+            std::erase_if(q[c], [&](DynInst *d) {
+                if (taken == limit[c] || !ru.sourcesReady(*d))
+                    return false;
+                out.push_back(d);
+                ++taken;
+                return true;
+            });
+        }
+    }
+    bool
+    hasReady(const RenameUnit &ru) const
+    {
+        for (const auto &v : q)
+            for (const DynInst *d : v)
+                if (ru.sourcesReady(*d))
+                    return true;
+        return false;
+    }
+    void
+    squash(ThreadID tid, InstSeqNum seq)
+    {
+        for (auto &v : q)
+            std::erase_if(v, [&](DynInst *d) {
+                return d->tid == tid && d->seq > seq;
+            });
+    }
+};
+
+/** The (tid, seq) age-order encoding IssueQueues::save writes. */
+std::string
+saveScanIq(const ScanIq &model)
+{
+    CheckpointWriter w("model", "key");
+    w.begin("core.iq");
+    for (const auto &v : model.q) {
+        w.u32(static_cast<std::uint32_t>(v.size()));
+        for (const DynInst *d : v) {
+            w.i16(d->tid);
+            w.u64(d->seq);
+        }
+    }
+    w.end();
+    return w.finish();
+}
+
+TEST(IqTest, WakeupSelectMatchesScanModel)
+{
+    // Random inserts (sources ready, pending, one register for both,
+    // or none), writebacks, squashes of waiting entries with slot
+    // reuse, and picks at random FU limits, driven through both
+    // IssueQueues and ScanIq. Registers only go 0 -> 1, as in the
+    // core while a consumer waits. The ld/st queue spans a full
+    // 64-slot mask.
+    constexpr unsigned threads = 2;
+    constexpr unsigned caps[3] = {12, IssueQueues::maxEntries, 8};
+    constexpr unsigned physRegs = 1024;
+    constexpr unsigned steps = 6000;
+    const OpClass ops[] = {OpClass::IntAlu, OpClass::CondBranch,
+                           OpClass::Load, OpClass::Store,
+                           OpClass::FpAlu};
+
+    for (unsigned seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        std::mt19937 rng(seed);
+        auto rnd = [&rng](unsigned n) {
+            return static_cast<unsigned>(rng() % n);
+        };
+        Rob rob(threads, steps);
+        RenameUnit ru(physRegs, physRegs, threads);
+        IssueQueues iqs(caps[0], caps[1], caps[2], physRegs, physRegs);
+        ScanIq model;
+
+        // Per register class: the registers written back so far
+        // (the architectural ones start ready), a few pending ones
+        // consumers may wait on, and the next never-used register.
+        std::array<std::vector<RegIndex>, 2> ready, pending;
+        std::array<RegIndex, 2> fresh{};
+        for (unsigned fp = 0; fp < 2; ++fp) {
+            unsigned arch = threads * (fp ? numArchFpRegs : numArchIntRegs);
+            for (unsigned r = 0; r < arch; ++r)
+                ready[fp].push_back(static_cast<RegIndex>(r));
+            fresh[fp] = static_cast<RegIndex>(arch);
+            for (unsigned k = 0; k < 6; ++k)
+                pending[fp].push_back(fresh[fp]++);
+        }
+        auto source = [&](unsigned fp) {
+            unsigned kind = rnd(3);
+            if (kind == 0)
+                return invalidReg;
+            const auto &pool = kind == 1 ? ready[fp] : pending[fp];
+            return pool[rnd(static_cast<unsigned>(pool.size()))];
+        };
+
+        for (unsigned step = 0; step < steps; ++step) {
+            unsigned action = rnd(10);
+            if (action < 4) {
+                ThreadID tid = static_cast<ThreadID>(rnd(threads));
+                DynInst &d = rob.create(tid);
+                d.op = ops[rnd(5)];
+                IqClass c = iqClassFor(d.op);
+                ASSERT_EQ(iqs.hasSpace(c),
+                          model.q[int(c)].size() < caps[int(c)]);
+                if (!iqs.hasSpace(c))
+                    continue;
+                unsigned fp = usesFpRegs(d.op) ? 1 : 0;
+                d.physSrc1 = source(fp);
+                d.physSrc2 = rnd(4) == 0 ? d.physSrc1 : source(fp);
+                iqs.insert(&d, ru);
+                model.insert(&d);
+            } else if (action < 6) {
+                unsigned fp = rnd(2);
+                auto &p = pending[fp];
+                unsigned k = rnd(static_cast<unsigned>(p.size()));
+                RegIndex reg = p[k];
+                iqs.markReady(ru, reg, fp == 1);
+                ready[fp].push_back(reg);
+                p[k] = fresh[fp]++;
+                ASSERT_LT(static_cast<unsigned>(fresh[fp]), physRegs);
+            } else if (action < 7) {
+                const auto &v = model.q[rnd(3)];
+                if (v.empty())
+                    continue;
+                const DynInst *victim =
+                    v[rnd(static_cast<unsigned>(v.size()))];
+                unsigned keep = rnd(3);
+                InstSeqNum seq =
+                    victim->seq > keep ? victim->seq - keep - 1 : 0;
+                iqs.squash(victim->tid, seq);
+                model.squash(victim->tid, seq);
+            } else {
+                const unsigned limit[3] = {rnd(5), rnd(5), rnd(4)};
+                std::vector<DynInst *> got, want;
+                iqs.pickReady(limit[0], limit[1], limit[2], got);
+                model.pick(ru, limit, want);
+                ASSERT_EQ(got, want) << "step " << step;
+            }
+
+            ASSERT_EQ(iqs.hasReady(), model.hasReady(ru)) << step;
+            unsigned total = 0;
+            for (unsigned c = 0; c < 3; ++c) {
+                ASSERT_EQ(iqs.occupancy(static_cast<IqClass>(c)),
+                          model.q[c].size());
+                total += static_cast<unsigned>(model.q[c].size());
+            }
+            ASSERT_EQ(iqs.totalOccupancy(), total);
+            for (unsigned t = 0; t < threads; ++t) {
+                unsigned n = 0;
+                for (const auto &v : model.q)
+                    for (const DynInst *d : v)
+                        n += d->tid == static_cast<ThreadID>(t);
+                ASSERT_EQ(iqs.threadOccupancy(static_cast<ThreadID>(t)),
+                          n);
+            }
+
+            if (step == steps / 2) {
+                // Save in age order (the byte layout the scan model
+                // implies) and continue on a restored copy.
+                CheckpointWriter w("model", "key");
+                w.begin("core.iq");
+                iqs.save(w);
+                w.end();
+                const std::string bytes = w.finish();
+                ASSERT_EQ(bytes, saveScanIq(model));
+                CheckpointReader r(bytes, "model");
+                r.begin("core.iq");
+                IssueQueues restored(caps[0], caps[1], caps[2],
+                                     physRegs, physRegs);
+                restored.restore(r, rob, ru);
+                r.end();
+                iqs = restored;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -468,10 +468,20 @@ TEST(SweepSpec, TraceWorkloadsParseIntoTraceNames)
 
 TEST(SweepSpec, UnwritableOutputDirFailsFastWithThePath)
 {
-    EXPECT_NO_THROW(ensureWritableDir(::testing::TempDir()));
+    EXPECT_NO_THROW(
+        ensureWritableDir(::testing::TempDir(), "output directory"));
     expectSpecError(
-        [] { ensureWritableDir("/nonexistent/json-out"); },
-        "\"/nonexistent/json-out\" is not writable");
+        [] {
+            ensureWritableDir("/nonexistent/json-out",
+                              "output directory");
+        },
+        "output directory \"/nonexistent/json-out\" is not writable");
+    expectSpecError(
+        [] {
+            ensureWritableDir("/nonexistent/ckpt",
+                              "checkpoint directory");
+        },
+        "checkpoint directory \"/nonexistent/ckpt\" is not writable");
     EXPECT_EQ(benchRecordDir("somewhere"), "somewhere");
     EXPECT_EQ(benchRecordDir(), ".");
 }
