@@ -29,14 +29,21 @@ PathHistory::index(Addr current, unsigned index_bits) const
     std::uint64_t idx = bits(current >> 2, 0, currentBits);
     unsigned rot = currentBits > 4 ? currentBits - 4 : 1;
 
-    unsigned p = state.pos;
-    std::uint64_t last = state.ring[p];
-    idx ^= bits(last >> 2, 0, lastBits) << (rot % index_bits);
+    // Entry i back sits at ring slot (pos - i) mod depth and shifts
+    // by (rot + i * olderBits) mod index_bits; both step by one
+    // conditional wrap per entry.
+    unsigned q = state.pos;
+    unsigned shift = rot % index_bits;
+    const unsigned step = olderBits % index_bits;
+    idx ^= bits(state.ring[q] >> 2, 0, lastBits) << shift;
 
     for (unsigned i = 1; i < depth; ++i) {
-        unsigned q = (p + depth - i) % depth;
+        q = q == 0 ? depth - 1 : q - 1;
+        shift += step;
+        if (shift >= index_bits)
+            shift -= index_bits;
         std::uint64_t contrib = bits(state.ring[q] >> 2, 0, olderBits);
-        idx ^= contrib << ((rot + i * olderBits) % index_bits);
+        idx ^= contrib << shift;
     }
     return idx & mask(index_bits);
 }

@@ -2,13 +2,14 @@
  * @file
  * Dynamic (in-flight) instruction record.
  *
- * DynInsts are owned by the per-thread ROB rings; every other
- * structure (fetch buffer, latches, issue queues, event wheel) refers
- * to them by pointer or by (thread, sequence) pair. Sequence numbers
- * are strictly increasing per thread (with holes after squashes, see
- * Rob::find), and instructions are only removed at the ends (commit
- * at the front, squash at the back), so pointers to live instructions
- * remain stable.
+ * DynInsts are owned by the per-thread ROB rings; the fetch buffer
+ * and the decode and rename latches are counts over the youngest
+ * entries of those rings, and every other structure (issue queues,
+ * event wheel) refers to them by pointer or by (thread, sequence)
+ * pair. Sequence numbers are strictly increasing per thread (with
+ * holes after squashes, see Rob::find), and instructions are only
+ * removed at the ends (commit at the front, squash at the back), so
+ * pointers to live instructions remain stable.
  */
 
 #ifndef SMTFETCH_CORE_DYN_INST_HH
@@ -47,6 +48,10 @@ struct DynInst
 
     /** Op class (copied; filler instructions behave as IntAlu). */
     OpClass op = OpClass::IntAlu;
+
+    /** Writes a destination register (si && si->dst is valid);
+     *  derived from the static instruction, never serialized. */
+    bool hasDst = false;
 
     /** @name Oracle information (valid when !wrongPath). */
     /// @{

@@ -1,6 +1,6 @@
 #include "core/fetch_policy.hh"
 
-#include <algorithm>
+#include <array>
 
 #include "util/logging.hh"
 
@@ -8,47 +8,40 @@ namespace smt
 {
 
 void
-IcountPolicy::order(Cycle now, const std::uint32_t *icounts,
+IcountPolicy::order(unsigned rotation, const std::uint32_t *icounts,
                     unsigned num_threads, std::vector<ThreadID> &out)
 {
-    out.clear();
-    for (unsigned t = 0; t < num_threads; ++t)
-        out.push_back(static_cast<ThreadID>(t));
-
-    unsigned rotate = static_cast<unsigned>(now % num_threads);
-    auto before = [&](ThreadID a, ThreadID b) {
-        if (icounts[a] != icounts[b])
-            return icounts[a] < icounts[b];
-        // Rotating tie-break.
-        unsigned ra = (a + num_threads - rotate) % num_threads;
-        unsigned rb = (b + num_threads - rotate) % num_threads;
-        return ra < rb;
-    };
-    // Stable insertion sort: identical ordering to std::stable_sort
-    // but allocation-free (this runs twice per simulated cycle, and
-    // num_threads is tiny).
-    for (unsigned i = 1; i < num_threads; ++i) {
-        ThreadID key = out[i];
-        unsigned j = i;
-        while (j > 0 && before(key, out[j - 1])) {
-            out[j] = out[j - 1];
-            --j;
-        }
-        out[j] = key;
+    // Sort key (icount, rank after the rotation). The keys are
+    // distinct, so each thread's place is the number of smaller keys:
+    // the order a stable sort by icount with the rotating tie-break
+    // gives, without branches that follow the icounts.
+    std::array<std::uint64_t, maxThreads> key;
+    for (unsigned t = 0; t < num_threads; ++t) {
+        unsigned rank = t >= rotation ? t - rotation
+                                      : t + num_threads - rotation;
+        key[t] = (static_cast<std::uint64_t>(icounts[t]) << 32) | rank;
+    }
+    out.resize(num_threads);
+    for (unsigned t = 0; t < num_threads; ++t) {
+        unsigned place = 0;
+        for (unsigned s = 0; s < num_threads; ++s)
+            place += key[s] < key[t];
+        out[place] = static_cast<ThreadID>(t);
     }
 }
 
 void
-RoundRobinPolicy::order(Cycle now, const std::uint32_t *icounts,
+RoundRobinPolicy::order(unsigned rotation, const std::uint32_t *icounts,
                         unsigned num_threads,
                         std::vector<ThreadID> &out)
 {
     (void)icounts;
-    out.clear();
-    unsigned start = static_cast<unsigned>(now % num_threads);
-    for (unsigned i = 0; i < num_threads; ++i)
-        out.push_back(
-            static_cast<ThreadID>((start + i) % num_threads));
+    out.resize(num_threads);
+    unsigned t = rotation;
+    for (unsigned i = 0; i < num_threads; ++i) {
+        out[i] = static_cast<ThreadID>(t);
+        t = t + 1 == num_threads ? 0 : t + 1;
+    }
 }
 
 std::unique_ptr<FetchPolicy>

@@ -1,8 +1,9 @@
 /**
  * @file
  * Thread-priority policies for the decoupled front-end. The policy
- * ranks all threads each cycle; both the prediction stage and the
- * fetch stage then take the first N eligible threads in rank order.
+ * ranks all threads in each cycle where a stage has an eligible
+ * thread; the prediction stage and the fetch stage then take the
+ * first N eligible threads in rank order.
  */
 
 #ifndef SMTFETCH_CORE_FETCH_POLICY_HH
@@ -27,12 +28,13 @@ class FetchPolicy
     /**
      * Rank threads for this cycle.
      *
-     * @param now Current cycle (used for rotation).
+     * @param rotation The rotating priority pointer: the current
+     *        cycle modulo num_threads (SmtCore keeps it as a counter).
      * @param icounts Per-thread front-section instruction counts.
      * @param num_threads Number of hardware threads.
      * @param out Receives thread ids, highest priority first.
      */
-    virtual void order(Cycle now, const std::uint32_t *icounts,
+    virtual void order(unsigned rotation, const std::uint32_t *icounts,
                        unsigned num_threads,
                        std::vector<ThreadID> &out) = 0;
 
@@ -43,12 +45,12 @@ class FetchPolicy
  * ICOUNT (Tullsen et al.): prioritize threads with the fewest
  * instructions in the decode/rename/queue front section. Ties break by
  * a rotating round-robin pointer so equally-empty threads share the
- * fetch unit fairly.
+ * fetch unit fairly: thread `rotation` first, then upwards, wrapping.
  */
 class IcountPolicy : public FetchPolicy
 {
   public:
-    void order(Cycle now, const std::uint32_t *icounts,
+    void order(unsigned rotation, const std::uint32_t *icounts,
                unsigned num_threads,
                std::vector<ThreadID> &out) override;
     PolicyKind kind() const override { return PolicyKind::ICount; }
@@ -58,7 +60,7 @@ class IcountPolicy : public FetchPolicy
 class RoundRobinPolicy : public FetchPolicy
 {
   public:
-    void order(Cycle now, const std::uint32_t *icounts,
+    void order(unsigned rotation, const std::uint32_t *icounts,
                unsigned num_threads,
                std::vector<ThreadID> &out) override;
     PolicyKind kind() const override { return PolicyKind::RoundRobin; }

@@ -36,9 +36,13 @@ FrontEnd::setThread(ThreadID tid, TraceSource *trace,
 }
 
 void
-FrontEnd::predictionStage(Cycle now, const std::uint32_t *icounts)
+FrontEnd::predictionStage(Cycle now, unsigned rotation,
+                          const std::uint32_t *icounts)
 {
-    policy.order(now, icounts, params.numThreads, orderScratch);
+    // Ranking has no side effects: skip it when no thread can use it.
+    if (predictQuiescent(now))
+        return;
+    policy.order(rotation, icounts, params.numThreads, orderScratch);
 
     unsigned ports_used = 0;
     for (ThreadID tid : orderScratch) {
@@ -68,7 +72,7 @@ FrontEnd::predictionStage(Cycle now, const std::uint32_t *icounts)
 }
 
 void
-FrontEnd::fetchStage(Cycle now, std::uint32_t *icounts,
+FrontEnd::fetchStage(Cycle now, unsigned rotation, std::uint32_t *icounts,
                      FetchBuffer &fetch_buffer)
 {
     // Fetch is gated on room for a full fetch group ("if the fetch
@@ -79,8 +83,10 @@ FrontEnd::fetchStage(Cycle now, std::uint32_t *icounts,
         return;
     }
 
+    if (fetchQuiescent(now))
+        return;
     unsigned remaining = params.fetchWidth;
-    policy.order(now, icounts, params.numThreads, orderScratch);
+    policy.order(rotation, icounts, params.numThreads, orderScratch);
 
     const unsigned line_bytes = memory.params().l1i.lineBytes;
     const Cycle l1i_hit = memory.params().l1i.hitLatency;
@@ -194,7 +200,7 @@ FrontEnd::fetchStage(Cycle now, std::uint32_t *icounts,
                           block, ckpt, is_end, now);
             inst.inIcount = true;
             ++icounts[tid];
-            fetch_buffer.push(&inst);
+            fetch_buffer.push(tid);
         }
         ts.ftq.consume(chunk);
         remaining -= chunk;
@@ -249,6 +255,7 @@ FrontEnd::buildInst(ThreadState &ts, ThreadID tid, Addr pc,
     const StaticInst *si = ts.image->program.lookup(pc);
     inst.si = si;
     inst.op = si != nullptr ? si->op : OpClass::IntAlu;
+    inst.hasDst = si != nullptr && si->dst != invalidReg;
 
     // Every instruction carries its block's checkpoint: CTIs need it
     // for mispredict repair, and the long-latency-load FLUSH policy

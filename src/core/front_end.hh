@@ -23,7 +23,6 @@
 #include "core/rob.hh"
 #include "core/sim_stats.hh"
 #include "mem/hierarchy.hh"
-#include "util/ring_buffer.hh"
 #include "workload/trace.hh"
 
 namespace smt
@@ -33,69 +32,39 @@ class CheckpointReader;
 class CheckpointWriter;
 
 /**
- * Shared-capacity fetch buffer with per-thread FIFOs. Total occupancy
- * is bounded (32 in Table 3) so a clogged thread squeezes everyone's
- * fetch, but threads decode from their own queues — one stalled thread
- * does not head-of-line block the others.
+ * Shared-capacity fetch buffer. Total occupancy is bounded (32 in
+ * Table 3) so a clogged thread squeezes everyone's fetch, but threads
+ * decode from their own queues — one stalled thread does not
+ * head-of-line block the others. A thread's buffered instructions are
+ * always the youngest entries of its ROB list, in order, so the buffer
+ * holds only counts: SmtCore finds the oldest one by ROB index.
  */
 struct FetchBuffer
 {
-    std::array<RingBuffer<DynInst *>, maxThreads> q;
+    std::array<unsigned, maxThreads> count{};
     unsigned total = 0;
     unsigned capacity = 32;
-
-    FetchBuffer() { setCapacity(capacity); }
-
-    /**
-     * Size the shared pool; every per-thread ring gets the full
-     * capacity (one thread may hold all of it).
-     */
-    void
-    setCapacity(unsigned cap)
-    {
-        capacity = cap;
-        total = 0;
-        for (auto &dq : q)
-            dq.setCapacity(cap);
-    }
 
     unsigned free() const { return capacity - total; }
 
     void
-    push(DynInst *inst)
+    push(ThreadID tid)
     {
-        q[inst->tid].push_back(inst);
+        ++count[tid];
         ++total;
     }
 
-    DynInst *
-    front(ThreadID tid)
-    {
-        return q[tid].empty() ? nullptr : q[tid].front();
-    }
-
     void
-    popFront(ThreadID tid)
+    pop(ThreadID tid)
     {
-        q[tid].pop_front();
+        --count[tid];
         --total;
-    }
-
-    void
-    removeYounger(ThreadID tid, InstSeqNum seq)
-    {
-        auto &dq = q[tid];
-        while (!dq.empty() && dq.back()->seq > seq) {
-            dq.pop_back();
-            --total;
-        }
     }
 
     void
     clear()
     {
-        for (auto &dq : q)
-            dq.clear();
+        count.fill(0);
         total = 0;
     }
 };
@@ -112,14 +81,20 @@ class FrontEnd
     void setThread(ThreadID tid, TraceSource *trace,
                    const BenchmarkImage *image);
 
-    /** One cycle of the prediction stage (N predictor ports). */
-    void predictionStage(Cycle now, const std::uint32_t *icounts);
+    /**
+     * One cycle of the prediction stage (N predictor ports).
+     * `rotation` is the fetch policy's tie-break pointer
+     * (FetchPolicy::order).
+     */
+    void predictionStage(Cycle now, unsigned rotation,
+                         const std::uint32_t *icounts);
 
     /**
      * One cycle of the fetch stage. Delivered instructions are
-     * appended to `fetch_buffer` and counted into `icounts`.
+     * created at the tail of their thread's ROB list, counted into
+     * `fetch_buffer` and into `icounts`.
      */
-    void fetchStage(Cycle now, std::uint32_t *icounts,
+    void fetchStage(Cycle now, unsigned rotation, std::uint32_t *icounts,
                     FetchBuffer &fetch_buffer);
 
     /** Squash: clear the FTQ and restart fetch at `pc` next cycle. */
@@ -152,7 +127,8 @@ class FrontEnd
      * The two quiescence predicates mirror the per-thread skip
      * conditions of predictionStage/fetchStage exactly: when they
      * hold, a tick of the corresponding stage touches nothing — no
-     * predictor access, no I-cache access, no stat. They are
+     * predictor access, no I-cache access, no stat — so the stages
+     * return on them before ranking the threads. They are
      * time-varying only through the three per-thread stall deadlines,
      * which nextDeadlineAfter exposes as wake-up events.
      */

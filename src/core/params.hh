@@ -63,7 +63,7 @@ struct CoreParams
     unsigned ldstIqEntries = 32;
     unsigned fpIqEntries = 32;
 
-    unsigned robEntries = 256;      //!< shared capacity
+    unsigned robEntries = 256;      //!< per thread (dispatched)
 
     unsigned physIntRegs = 384;
     unsigned physFpRegs = 384;

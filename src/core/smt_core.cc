@@ -39,11 +39,7 @@ SmtCore::SmtCore(const CoreParams &params)
                                        memHierarchy, *fetchPolicy, rob,
                                        simStats))
 {
-    fetchBuffer.setCapacity(coreParams.fetchBufferSize);
-    for (auto &q : decodeQ)
-        q.setCapacity(coreParams.decodeWidth);
-    for (auto &q : renameQ)
-        q.setCapacity(coreParams.decodeWidth);
+    fetchBuffer.capacity = coreParams.fetchBufferSize;
     registerStats();
 }
 
@@ -179,9 +175,10 @@ SmtCore::cycle()
     dispatchStage();
     renameStage();
     decodeStage();
-    front->fetchStage(currentCycle, icounts.data(), fetchBuffer);
-    front->predictionStage(currentCycle, icounts.data());
+    front->fetchStage(currentCycle, rotation, icounts.data(), fetchBuffer);
+    front->predictionStage(currentCycle, rotation, icounts.data());
     ++currentCycle;
+    rotation = nextThread(rotation);
     ++simStats.cycles;
 }
 
@@ -195,6 +192,12 @@ SmtCore::quiescentAt(Cycle now)
     if (exec.pendingAt(now))
         return false;
 
+    // Issue: a waiting instruction with ready sources would issue.
+    // Three mask tests, the cheapest check; every check here is a
+    // pure predicate, so their order cannot change the answer.
+    if (iqs.hasReady())
+        return false;
+
     for (unsigned t = 0; t < n; ++t) {
         ThreadID tid = static_cast<ThreadID>(t);
 
@@ -204,8 +207,7 @@ SmtCore::quiescentAt(Cycle now)
 
         // Dispatch: the thread's head instruction moves unless it
         // hits a structural hazard.
-        if (!renameQ[t].empty() &&
-            !dispatchBlocked(tid, *renameQ[t].front()))
+        if (renameCount[t] != 0 && !dispatchBlocked(tid, renameHead(tid)))
             return false;
     }
 
@@ -216,12 +218,8 @@ SmtCore::quiescentAt(Cycle now)
     // Fetch: with room for a fetch group, some thread would access
     // the I-cache. (Buffer-full cycles only bump a counter, which
     // skipTo folds across the span.)
-    if (fetchBuffer.free() >= coreParams.fetchWidth &&
-        !front->fetchQuiescent(now))
-        return false;
-
-    // Issue: a waiting instruction with ready sources would issue.
-    return !iqs.hasReady();
+    return fetchBuffer.free() < coreParams.fetchWidth ||
+           front->fetchQuiescent(now);
 }
 
 Cycle
@@ -245,10 +243,9 @@ SmtCore::skipTo(Cycle target)
     simStats.cycles += span;
 
     // Fold the per-tick side effects of the otherwise-dead stages:
-    // the commit/front rotation counters advance unconditionally,
-    // and a full fetch buffer charges fetchBufferFullCycles.
-    commitRotate = static_cast<unsigned>((commitRotate + span) % n);
-    frontRotate = static_cast<unsigned>((frontRotate + span) % n);
+    // the rotation advances unconditionally, and a full fetch buffer
+    // charges fetchBufferFullCycles.
+    rotation = static_cast<unsigned>((rotation + span) % n);
     if (fetchBuffer.free() < coreParams.fetchWidth)
         simStats.fetchBufferFullCycles += span;
 
@@ -348,6 +345,7 @@ restoreInst(CheckpointReader &r, DynInst &inst, EngineCheckpoint &ckpt,
     inst.pc = r.u64();
     bool has_si = r.b();
     inst.si = program.lookup(inst.pc);
+    inst.hasDst = inst.si != nullptr && inst.si->dst != invalidReg;
     if (has_si != (inst.si != nullptr))
         r.fail(csprintf("instruction at pc 0x%llx is%s mapped in the "
                         "rebuilt program but was%s at save time — "
@@ -399,37 +397,52 @@ restoreInst(CheckpointReader &r, DynInst &inst, EngineCheckpoint &ckpt,
     inst.traceIndex = r.u64();
 }
 
-/** Serialize one per-thread latch queue as sequence numbers. */
+/** Serialize one per-thread latch, ROB entries [first, first + n),
+ *  as its list of sequence numbers. */
 void
-saveLatchQueue(CheckpointWriter &w, const RingBuffer<DynInst *> &q)
+saveLatch(CheckpointWriter &w, const Rob &rob, ThreadID tid,
+          std::size_t first, unsigned n)
 {
-    w.u32(static_cast<std::uint32_t>(q.size()));
-    for (std::size_t i = 0; i < q.size(); ++i)
-        w.u64(q[i]->seq);
+    w.u32(n);
+    for (unsigned i = 0; i < n; ++i)
+        w.u64(rob.at(tid, first + i).seq);
 }
 
-void
-restoreLatchQueue(CheckpointReader &r, RingBuffer<DynInst *> &q,
-                  Rob &rob, ThreadID tid, const char *what)
+/**
+ * Read back one latch saved by saveLatch. Its entries must be exactly
+ * the `n` ROB entries ending just before index `end`, in order: the
+ * latches tile the youngest end of the ROB list.
+ * @return n.
+ */
+unsigned
+restoreLatch(CheckpointReader &r, const Rob &rob, ThreadID tid,
+             std::size_t end, unsigned cap, const char *what)
 {
     std::uint32_t n =
         static_cast<std::uint32_t>(r.checkCount(r.u32(), 8, what));
-    if (n > q.capacity())
+    if (n > cap)
         r.fail(csprintf("%s latch holds %u entries but this "
                         "configuration caps it at %u",
-                        what, n, q.capacity()));
-    q.clear();
+                        what, n, cap));
+    if (n > end)
+        r.fail(csprintf("%s latch of thread %d holds %u entries but "
+                        "only %zu ROB entries precede it (corrupt "
+                        "payload)",
+                        what, (int)tid, n, end));
+    const std::size_t first = end - n;
     for (std::uint32_t i = 0; i < n; ++i) {
         InstSeqNum seq = r.u64();
-        DynInst *inst = rob.find(tid, seq);
-        if (inst == nullptr)
-            r.fail(csprintf("%s latch references instruction "
-                            "(thread %d, seq %llu) that is not in "
-                            "the restored ROB (corrupt reference)",
-                            what, (int)tid,
-                            (unsigned long long)seq));
-        q.push_back(inst);
+        const DynInst &inst = rob.at(tid, first + i);
+        if (inst.seq != seq)
+            r.fail(csprintf("%s latch entry %u names instruction "
+                            "(thread %d, seq %llu) but its ROB "
+                            "position holds seq %llu (corrupt "
+                            "reference)",
+                            what, i, (int)tid,
+                            (unsigned long long)seq,
+                            (unsigned long long)inst.seq));
     }
+    return n;
 }
 
 } // namespace
@@ -454,17 +467,20 @@ SmtCore::saveState(CheckpointWriter &w) const
     w.begin("core.state");
     w.u64(currentCycle);
     w.u64(stampCounter);
-    w.u32(commitRotate);
-    w.u32(frontRotate);
+    // The format keeps commit's and the front end's rotation pointers
+    // as two fields; both are the cycle modulo the thread count.
+    w.u32(rotation);
+    w.u32(rotation);
     for (unsigned t = 0; t < maxThreads; ++t)
         w.u32(icounts[t]);
     for (unsigned t = 0; t < maxThreads; ++t)
         w.u32(robCount[t]);
     w.u32(fetchBuffer.capacity);
     for (unsigned t = 0; t < threads; ++t) {
-        saveLatchQueue(w, fetchBuffer.q[t]);
-        saveLatchQueue(w, decodeQ[t]);
-        saveLatchQueue(w, renameQ[t]);
+        ThreadID tid = static_cast<ThreadID>(t);
+        saveLatch(w, rob, tid, bufferStart(tid), fetchBuffer.count[t]);
+        saveLatch(w, rob, tid, decodeStart(tid), decodeCount[t]);
+        saveLatch(w, rob, tid, robCount[t], renameCount[t]);
     }
     w.end();
 
@@ -558,8 +574,14 @@ SmtCore::restoreState(CheckpointReader &r)
     r.begin("core.state");
     currentCycle = r.u64();
     stampCounter = r.u64();
-    commitRotate = r.u32();
-    frontRotate = r.u32();
+    std::uint32_t commit_rotation = r.u32();
+    std::uint32_t front_rotation = r.u32();
+    rotation = static_cast<unsigned>(currentCycle % threads);
+    if (commit_rotation != rotation || front_rotation != rotation)
+        r.fail(csprintf("rotation pointers %u/%u do not match cycle "
+                        "%llu over %u threads (corrupt payload)",
+                        commit_rotation, front_rotation,
+                        (unsigned long long)currentCycle, threads));
     for (unsigned t = 0; t < maxThreads; ++t)
         icounts[t] = r.u32();
     for (unsigned t = 0; t < maxThreads; ++t)
@@ -571,19 +593,27 @@ SmtCore::restoreState(CheckpointReader &r)
                         buffer_cap, fetchBuffer.capacity));
     fetchBuffer.clear();
     for (unsigned t = 0; t < threads; ++t) {
+        // Youngest first: the fetch buffer, then the decode latch,
+        // then the rename latch.
         ThreadID tid = static_cast<ThreadID>(t);
-        restoreLatchQueue(r, fetchBuffer.q[t], rob, tid,
-                          "fetch buffer");
-        fetchBuffer.total += static_cast<unsigned>(
-            fetchBuffer.q[t].size());
-        restoreLatchQueue(r, decodeQ[t], rob, tid, "decode");
-        restoreLatchQueue(r, renameQ[t], rob, tid, "rename");
+        std::size_t end = rob.size(tid);
+        fetchBuffer.count[t] = restoreLatch(
+            r, rob, tid, end, fetchBuffer.capacity, "fetch buffer");
+        fetchBuffer.total += fetchBuffer.count[t];
+        end -= fetchBuffer.count[t];
+        decodeCount[t] = restoreLatch(r, rob, tid, end,
+                                      coreParams.decodeWidth, "decode");
+        end -= decodeCount[t];
+        renameCount[t] = restoreLatch(r, rob, tid, end,
+                                      coreParams.decodeWidth, "rename");
     }
     if (fetchBuffer.total > fetchBuffer.capacity)
         r.fail(csprintf("fetch buffer holds %u instructions but is "
                         "capped at %u",
                         fetchBuffer.total,
                         fetchBuffer.capacity));
+    if (std::string error = latchTilingError(); !error.empty())
+        r.fail(error + " (corrupt payload)");
     // Per-cycle scratch is produced and consumed within one tick;
     // a checkpoint sits on a cycle boundary, so it starts empty.
     completionScratch.clear();
@@ -619,6 +649,40 @@ SmtCore::restoreState(CheckpointReader &r)
     r.end();
 
     checkIcountInvariant();
+}
+
+std::string
+SmtCore::latchTilingError() const
+{
+    unsigned buffered = 0;
+    for (unsigned t = 0; t < coreParams.numThreads; ++t) {
+        ThreadID tid = static_cast<ThreadID>(t);
+        const std::size_t bounds[] = {
+            robCount[t], decodeStart(tid), bufferStart(tid),
+            bufferStart(tid) + fetchBuffer.count[t]};
+        if (bounds[3] != rob.size(tid))
+            return csprintf("thread %u latches end at ROB index %zu "
+                            "but the list holds %zu",
+                            t, bounds[3], rob.size(tid));
+        for (std::size_t i = 0; i < rob.size(tid); ++i) {
+            InstStage want = i < bounds[0]   ? InstStage::Dispatched
+                             : i < bounds[1] ? InstStage::Renamed
+                             : i < bounds[2] ? InstStage::Decoded
+                                             : InstStage::Fetched;
+            InstStage have = rob.at(tid, i).stage;
+            if (want == InstStage::Dispatched ? have < want : have != want)
+                return csprintf("thread %u ROB entry %zu is at stage "
+                                "%u where its position says %u",
+                                t, i, static_cast<unsigned>(have),
+                                static_cast<unsigned>(want));
+        }
+        buffered += fetchBuffer.count[t];
+    }
+    if (buffered != fetchBuffer.total)
+        return csprintf("fetch buffer total %u but its per-thread "
+                        "counts sum to %u",
+                        fetchBuffer.total, buffered);
+    return "";
 }
 
 void

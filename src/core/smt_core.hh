@@ -17,6 +17,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,7 +31,6 @@
 #include "core/rob.hh"
 #include "core/sim_stats.hh"
 #include "mem/hierarchy.hh"
-#include "util/ring_buffer.hh"
 #include "util/stats_registry.hh"
 #include "workload/trace.hh"
 
@@ -105,10 +105,37 @@ class SmtCore
     unsigned iqOccupancy() const { return iqs.totalOccupancy(); }
     std::size_t fetchBufferSize() const { return fetchBuffer.total; }
     std::size_t inFlight(ThreadID tid) const { return rob.size(tid); }
+    const DynInst &
+    robEntry(ThreadID tid, std::size_t idx) const
+    {
+        return rob.at(tid, idx);
+    }
     unsigned robOccupancyOf(ThreadID tid) const { return robCount[tid]; }
+
+    /** Squash the thread's instructions younger than its ROB entry
+     *  `idx`, a correct-path one, the way decode repairs a bogus
+     *  block end (tests squash at arbitrary latch positions). */
+    void
+    squashYoungerThan(ThreadID tid, std::size_t idx)
+    {
+        if (rob.at(tid, idx).wrongPath)
+            panic("squashYoungerThan: entry %zu of thread %d is on "
+                  "the wrong path",
+                  idx, tid);
+        squashAfter(rob.at(tid, idx));
+    }
 
     /** Recompute icounts from structures; panic on mismatch. */
     void checkIcountInvariant() const;
+
+    /**
+     * Each thread's latches must tile the young end of its ROB list:
+     * past its robCount dispatched entries, the rename latch, the
+     * decode latch and then the fetch buffer, each entry at its
+     * latch's stage, and the buffer total must be the sum of its
+     * counts. @return what breaks that, or "" when it holds.
+     */
+    std::string latchTilingError() const;
 
     /**
      * @name Checkpoint serialization (sim/checkpoint.hh). Writes the
@@ -165,12 +192,12 @@ class SmtCore
      *  queues; a structural hazard stalls only its own thread. */
     void dispatchStage();
 
-    /** Move decoded instructions into the per-thread rename queues
-     *  (the decode-to-rename pipeline latch). */
+    /** Move decoded instructions into the per-thread rename
+     *  latches (the decode-to-rename pipeline latch). */
     void renameStage();
 
     /** Drain the shared fetch buffer into the per-thread decode
-     *  queues and repair bogus block ends (a predicted CTI that is a
+     *  latches and repair bogus block ends (a predicted CTI that is a
      *  plain instruction) without waiting for execute. */
     void decodeStage();
 
@@ -197,31 +224,59 @@ class SmtCore
 
     /** The fetch buffer drains into a non-full decode latch. */
     bool
-    canDecode(ThreadID tid)
+    canDecode(ThreadID tid) const
     {
-        return fetchBuffer.front(tid) != nullptr &&
-               decodeQ[tid].size() < coreParams.decodeWidth;
+        return fetchBuffer.count[tid] != 0 &&
+               decodeCount[tid] < coreParams.decodeWidth;
     }
 
     /** The decode latch drains into a non-full rename latch. */
     bool
     canRename(ThreadID tid) const
     {
-        return !decodeQ[tid].empty() &&
-               renameQ[tid].size() < coreParams.decodeWidth;
+        return decodeCount[tid] != 0 &&
+               renameCount[tid] < coreParams.decodeWidth;
     }
 
     /** The thread's head instruction hits a structural hazard: a
-     *  full ROB share, a full IQ class, or no free register. */
+     *  full per-thread ROB, a full IQ class, or no free register. */
     bool
     dispatchBlocked(ThreadID tid, const DynInst &inst) const
     {
-        bool needs_reg = inst.si != nullptr && inst.si->dst != invalidReg;
         return robCount[tid] >= coreParams.robEntries ||
                !iqs.hasSpace(iqClassFor(inst.op)) ||
-               (needs_reg && !rename.canAllocate(usesFpRegs(inst.op)));
+               (inst.hasDst && !rename.canAllocate(usesFpRegs(inst.op)));
     }
     /// @}
+
+    /**
+     * @name Latch positions. A thread's ROB list holds, oldest first,
+     * its robCount dispatched instructions, then the rename latch,
+     * the decode latch and the fetch buffer; each latch is a count
+     * and its oldest entry is found by ROB index.
+     */
+    /// @{
+    DynInst &renameHead(ThreadID tid) { return rob.at(tid, robCount[tid]); }
+
+    std::size_t
+    decodeStart(ThreadID tid) const
+    {
+        return robCount[tid] + renameCount[tid];
+    }
+
+    std::size_t
+    bufferStart(ThreadID tid) const
+    {
+        return decodeStart(tid) + decodeCount[tid];
+    }
+    /// @}
+
+    /** The thread after `t` in rotation order. */
+    unsigned
+    nextThread(unsigned t) const
+    {
+        return t + 1 == coreParams.numThreads ? 0 : t + 1;
+    }
 
     /** @name Event-driven cycle skipping (see run()). */
     /// @{
@@ -253,12 +308,12 @@ class SmtCore
     SimStats simStats;
     StatsRegistry statsRegistry;
 
-    /** @name Inter-stage latches (fixed-capacity ring storage; all
-     *  slots preallocated, steady-state cycles never allocate). */
+    /** @name Inter-stage latches: per-thread counts over the ROB
+     *  lists (see the latch positions above). */
     /// @{
     FetchBuffer fetchBuffer;
-    std::array<RingBuffer<DynInst *>, maxThreads> decodeQ;
-    std::array<RingBuffer<DynInst *>, maxThreads> renameQ;
+    std::array<unsigned, maxThreads> decodeCount{};
+    std::array<unsigned, maxThreads> renameCount{};
     /// @}
 
     /** ICOUNT front-section instruction counts per thread. */
@@ -270,8 +325,11 @@ class SmtCore
     /** @name Stage rotation / ordering counters. */
     /// @{
     std::uint64_t stampCounter = 0;
-    unsigned commitRotate = 0;
-    unsigned frontRotate = 0;
+
+    /** currentCycle modulo numThreads: the thread that goes first in
+     *  commit, dispatch, rename and decode, and wins fetch-policy
+     *  ties, this cycle. */
+    unsigned rotation = 0;
     /// @}
 
     Cycle currentCycle = 0;

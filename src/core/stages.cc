@@ -60,16 +60,16 @@ void
 SmtCore::commitStage()
 {
     unsigned budget = coreParams.commitWidth;
-    unsigned n = coreParams.numThreads;
-    for (unsigned i = 0; i < n && budget > 0; ++i) {
-        ThreadID tid = static_cast<ThreadID>((commitRotate + i) % n);
+    unsigned t = rotation;
+    for (unsigned i = 0; i < coreParams.numThreads && budget > 0;
+         ++i, t = nextThread(t)) {
+        ThreadID tid = static_cast<ThreadID>(t);
         while (budget > 0 && canCommit(tid)) {
             commitInst(rob.head(tid));
             rob.popHead(tid);
             --budget;
         }
     }
-    commitRotate = (commitRotate + 1) % n;
 }
 
 void
@@ -158,21 +158,21 @@ SmtCore::dispatchStage()
     // itself. The shared hazards (IQ, ROB, registers) are what let one
     // clogged thread strangle the machine, per Tullsen & Brown.
     unsigned budget = coreParams.decodeWidth;
-    unsigned n = coreParams.numThreads;
-    for (unsigned i = 0; i < n && budget > 0; ++i) {
-        ThreadID tid = static_cast<ThreadID>((frontRotate + i) % n);
-        auto &q = renameQ[tid];
-        while (budget > 0 && !q.empty()) {
-            DynInst *inst = q.front();
-            if (dispatchBlocked(tid, *inst))
+    unsigned t = rotation;
+    for (unsigned i = 0; i < coreParams.numThreads && budget > 0;
+         ++i, t = nextThread(t)) {
+        ThreadID tid = static_cast<ThreadID>(t);
+        while (budget > 0 && renameCount[tid] != 0) {
+            DynInst &inst = renameHead(tid);
+            if (dispatchBlocked(tid, inst))
                 break; // this thread stalls; others continue
-            rename.rename(*inst);
-            inst->stage = InstStage::Dispatched;
-            inst->dispatchStamp = ++stampCounter;
-            iqs.insert(inst, rename);
+            rename.rename(inst);
+            inst.stage = InstStage::Dispatched;
+            inst.dispatchStamp = ++stampCounter;
+            iqs.insert(&inst, rename);
             ++robCount[tid];
+            --renameCount[tid];
             ++simStats.dispatched;
-            q.pop_front();
             --budget;
         }
     }
@@ -182,14 +182,14 @@ void
 SmtCore::renameStage()
 {
     unsigned budget = coreParams.decodeWidth;
-    unsigned n = coreParams.numThreads;
-    for (unsigned i = 0; i < n && budget > 0; ++i) {
-        ThreadID tid = static_cast<ThreadID>((frontRotate + i) % n);
+    unsigned t = rotation;
+    for (unsigned i = 0; i < coreParams.numThreads && budget > 0;
+         ++i, t = nextThread(t)) {
+        ThreadID tid = static_cast<ThreadID>(t);
         while (budget > 0 && canRename(tid)) {
-            DynInst *inst = decodeQ[tid].front();
-            decodeQ[tid].pop_front();
-            inst->stage = InstStage::Renamed;
-            renameQ[tid].push_back(inst);
+            rob.at(tid, decodeStart(tid)).stage = InstStage::Renamed;
+            ++renameCount[tid];
+            --decodeCount[tid];
             --budget;
         }
     }
@@ -199,41 +199,27 @@ void
 SmtCore::decodeStage()
 {
     unsigned budget = coreParams.decodeWidth;
-    unsigned n = coreParams.numThreads;
-    for (unsigned i = 0; i < n && budget > 0; ++i) {
-        ThreadID tid = static_cast<ThreadID>((frontRotate + i) % n);
+    unsigned t = rotation;
+    for (unsigned i = 0; i < coreParams.numThreads && budget > 0;
+         ++i, t = nextThread(t)) {
+        ThreadID tid = static_cast<ThreadID>(t);
         while (budget > 0 && canDecode(tid)) {
-            DynInst *inst = fetchBuffer.front(tid);
-            fetchBuffer.popFront(tid);
-            inst->stage = InstStage::Decoded;
-            decodeQ[tid].push_back(inst);
+            DynInst &inst = rob.at(tid, bufferStart(tid));
+            fetchBuffer.pop(tid);
+            ++decodeCount[tid];
+            inst.stage = InstStage::Decoded;
             --budget;
-            if (inst->bogusBlockEnd && !inst->wrongPath) {
+            if (inst.bogusBlockEnd && !inst.wrongPath) {
                 // The predictor claimed this instruction ends a block
                 // with a taken CTI, but decode sees a non-CTI: repair
                 // here instead of waiting for execute.
                 ++simStats.bogusRedirects;
-                squashAfter(*inst);
+                squashAfter(inst);
                 break; // this thread's younger insts just vanished
             }
         }
     }
-    frontRotate = (frontRotate + 1) % n;
 }
-
-namespace
-{
-
-void
-removeYounger(RingBuffer<DynInst *> &q, InstSeqNum seq)
-{
-    // The latch queues are per-thread and age-ordered, so the younger
-    // instructions are exactly a suffix.
-    while (!q.empty() && q.back()->seq > seq)
-        q.pop_back();
-}
-
-} // namespace
 
 void
 SmtCore::squashAfter(DynInst &offender)
@@ -246,18 +232,21 @@ SmtCore::squashAfter(DynInst &offender)
                          offender.oracleTaken ? offender.oracleNext
                                               : invalidAddr);
 
-    fetchBuffer.removeYounger(tid, seq);
-    removeYounger(decodeQ[tid], seq);
-    removeYounger(renameQ[tid], seq);
     iqs.squash(tid, seq);
 
+    // The youngest entries sit in the fetch buffer, then the decode
+    // latch, then the rename latch; past those, dispatched ones.
     while (!rob.empty(tid) && rob.youngest(tid).seq > seq) {
         DynInst &young = rob.youngest(tid);
         if (young.inIcount)
             --icounts[tid];
-        if (young.stage == InstStage::Dispatched ||
-            young.stage == InstStage::Issued ||
-            young.stage == InstStage::Done) {
+        if (fetchBuffer.count[tid] != 0) {
+            fetchBuffer.pop(tid);
+        } else if (decodeCount[tid] != 0) {
+            --decodeCount[tid];
+        } else if (renameCount[tid] != 0) {
+            --renameCount[tid];
+        } else {
             rename.rollback(young);
             --robCount[tid];
         }

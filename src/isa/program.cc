@@ -14,27 +14,37 @@ StaticProgram::StaticProgram(std::string name, Addr base)
 }
 
 void
-StaticProgram::appendBlock(std::vector<StaticInst> block_insts,
-                           std::uint32_t function_id)
+StaticProgram::reserve(std::size_t num_insts, std::size_t num_blocks)
+{
+    insts.reserve(num_insts);
+    blocks.reserve(num_blocks);
+}
+
+void
+StaticProgram::appendInst(const StaticInst &si)
 {
     if (finalized)
-        panic("appendBlock after finalize");
-    if (block_insts.empty())
-        panic("empty basic block");
+        panic("appendInst after finalize");
+    Addr pc = limit();
+    StaticInst &slot = insts.emplace_back(si);
+    slot.pc = pc;
+    slot.blockIndex = static_cast<std::uint32_t>(blocks.size());
+}
+
+void
+StaticProgram::closeBlock(std::uint32_t function_id)
+{
+    if (finalized)
+        panic("closeBlock after finalize");
 
     BasicBlock bb;
-    bb.startPC = limit();
-    bb.numInsts = static_cast<std::uint32_t>(block_insts.size());
+    bb.startPC = closedLimit();
+    bb.numInsts =
+        static_cast<std::uint32_t>((limit() - bb.startPC) / instBytes);
+    if (bb.numInsts == 0)
+        panic("empty basic block");
     bb.index = static_cast<std::uint32_t>(blocks.size());
     bb.functionId = function_id;
-
-    Addr pc = bb.startPC;
-    for (auto &si : block_insts) {
-        si.pc = pc;
-        si.blockIndex = bb.index;
-        insts.push_back(si);
-        pc += instBytes;
-    }
 
     if (functions.size() <= function_id)
         functions.resize(function_id + 1);
@@ -55,6 +65,8 @@ StaticProgram::finalize(Addr entry_pc)
         panic("double finalize");
     if (insts.empty())
         panic("finalize of empty program");
+    if (closedLimit() != limit())
+        panic("finalize with an open block");
     if (!contains(entry_pc))
         panic("entry pc outside program");
     entryPC = entry_pc;

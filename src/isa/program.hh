@@ -38,9 +38,22 @@ class StaticProgram
   public:
     StaticProgram(std::string name, Addr base);
 
-    /** Append a block's worth of instructions (builder interface). */
-    void appendBlock(std::vector<StaticInst> insts,
-                     std::uint32_t function_id);
+    /**
+     * @name Builder interface. Instructions are appended in place,
+     * one at a time, to the open block; closeBlock ends it as one
+     * basic block of the given function.
+     */
+    /// @{
+    /** Size the storage for the whole image up front. */
+    void reserve(std::size_t num_insts, std::size_t num_blocks);
+
+    /** Append to the open block; sets the instruction's pc and
+     *  block index. */
+    void appendInst(const StaticInst &si);
+
+    /** Close the open block (it must not be empty). */
+    void closeBlock(std::uint32_t function_id);
+    /// @}
 
     /** Finish construction: freeze metadata, validate layout. */
     void finalize(Addr entry_pc);
@@ -106,6 +119,13 @@ class StaticProgram
     double avgBlockSize() const;
 
   private:
+    /** One past the last instruction of a closed block. */
+    Addr
+    closedLimit() const
+    {
+        return blocks.empty() ? baseAddr : blocks.back().endPC();
+    }
+
     std::string benchName;
     Addr baseAddr;
     Addr entryPC = invalidAddr;

@@ -25,6 +25,7 @@ Cache::Cache(const CacheParams &params, Cache *next, Cycle memory_latency)
         fatal("%s: set count must be a power of two",
               params_.name.c_str());
     setBits = std::bit_width(numSets) - 1;
+    lineShift = std::bit_width(params_.lineBytes) - 1;
     lines.assign(static_cast<std::size_t>(numSets) * params_.ways,
                  Line{});
     missWindow.assign(std::max(4u, params_.mshrs * 2), MissSlot{});
@@ -33,13 +34,13 @@ Cache::Cache(const CacheParams &params, Cache *next, Cycle memory_latency)
 std::uint64_t
 Cache::lineIndex(Addr addr) const
 {
-    return (addr / params_.lineBytes) & mask(setBits);
+    return (addr >> lineShift) & mask(setBits);
 }
 
 std::uint64_t
 Cache::tagOf(Addr addr) const
 {
-    return (addr / params_.lineBytes) >> setBits;
+    return (addr >> lineShift) >> setBits;
 }
 
 Cache::Line *

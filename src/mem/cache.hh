@@ -93,8 +93,7 @@ class Cache
     unsigned
     bankOf(Addr addr) const
     {
-        return static_cast<unsigned>((addr / params_.lineBytes) %
-                                     params_.banks);
+        return static_cast<unsigned>((addr >> lineShift) % params_.banks);
     }
 
     const CacheStats &stats() const { return cacheStats; }
@@ -147,6 +146,7 @@ class Cache
 
     unsigned numSets;
     unsigned setBits;
+    unsigned lineShift; //!< log2(lineBytes), a power of two
     std::uint64_t lruClock = 0;
     std::vector<Line> lines;
 

@@ -1,12 +1,13 @@
 /**
  * @file
  * Fixed-capacity ring buffer with deque-like ends: the storage that
- * backs every per-cycle queue in the core (ROB instruction lists,
- * decode/rename latches, fetch buffer, FTQ). All slots are allocated
- * once at setCapacity(); pushes and pops move two indices, so
- * steady-state simulation performs zero heap allocation and elements
- * keep stable addresses while they are live (a slot is only reused
- * after its element was popped and capacity-many pushes went by).
+ * backs the core's per-cycle queues (ROB instruction lists, FTQ; the
+ * fetch buffer and latches are counts over the ROB lists). All slots
+ * are allocated once at setCapacity(); pushes and pops move two
+ * indices, so steady-state simulation performs zero heap allocation
+ * and elements keep stable addresses while they are live (a slot is
+ * only reused after its element was popped and capacity-many pushes
+ * went by).
  *
  * Unlike std::deque, pop_front/pop_back do NOT destroy the element:
  * the popped object stays constructed in its slot until a later push

@@ -70,8 +70,14 @@ class Builder
                            StaticProgram(profile.name, codeBase),
                            {}, {}, {}, dataBase, dataBytes, sizeScale};
 
+        std::size_t num_insts = 0;
         for (const auto &spec : specs)
-            img.program.appendBlock(materialize(spec, img), spec.funcId);
+            num_insts += spec.sizeInsts;
+        img.program.reserve(num_insts, specs.size());
+        for (const auto &spec : specs) {
+            materialize(spec, img);
+            img.program.closeBlock(spec.funcId);
+        }
 
         img.program.finalize(specs.front().startPC);
         return img;
@@ -239,14 +245,12 @@ class Builder
         panic("function %u not found", func_id);
     }
 
-    /** Pass 2: emit instructions for one block. */
-    std::vector<StaticInst>
+    /** Pass 2: append one block's instructions to the program. */
+    void
     materialize(const BlockSpec &s, BenchmarkImage &img)
     {
         std::uint32_t global_idx = static_cast<std::uint32_t>(
             &s - specs.data());
-        std::vector<StaticInst> insts;
-        insts.reserve(s.sizeInsts);
 
         bool is_func_last = s.indexInFunc + 1 == s.funcNumBlocks;
         bool has_term = true;
@@ -256,7 +260,7 @@ class Builder
 
         unsigned body = s.sizeInsts - (has_term ? 1 : 0);
         for (unsigned i = 0; i < body; ++i)
-            insts.push_back(makeBodyInst(img));
+            img.program.appendInst(makeBodyInst(img));
 
         StaticInst t;
         switch (term) {
@@ -320,8 +324,7 @@ class Builder
         }
         if (t.op == OpClass::CondBranch)
             t.src1 = nextSrcReg();
-        insts.push_back(t);
-        return insts;
+        img.program.appendInst(t);
     }
 
     BranchModel

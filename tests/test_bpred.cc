@@ -10,6 +10,7 @@
 #include "bpred/engine_registry.hh"
 #include "bpred/fetch_engine.hh"
 #include "bpred/tage.hh"
+#include "util/bitfield.hh"
 #include "workload/program_builder.hh"
 #include "workload/trace.hh"
 
@@ -51,6 +52,57 @@ TEST(PathHistoryTest, SnapshotRestoreExact)
     EXPECT_NE(p.index(0x8888, 12), idx);
     p.restore(snap);
     EXPECT_EQ(p.index(0x8888, 12), idx);
+}
+
+/** The DOLC index as a modulo per history entry: the formula
+ *  PathHistory::index steps through without dividing. */
+std::uint64_t
+referencePathIndex(const PathHistory::Snapshot &s, unsigned depth,
+                   unsigned older_bits, unsigned last_bits,
+                   unsigned current_bits, Addr current,
+                   unsigned index_bits)
+{
+    std::uint64_t idx = bits(current >> 2, 0, current_bits);
+    unsigned rot = current_bits > 4 ? current_bits - 4 : 1;
+    unsigned p = s.pos;
+    idx ^= bits(s.ring[p] >> 2, 0, last_bits) << (rot % index_bits);
+    for (unsigned i = 1; i < depth; ++i) {
+        unsigned q = (p + depth - i) % depth;
+        std::uint64_t contrib = bits(s.ring[q] >> 2, 0, older_bits);
+        idx ^= contrib << ((rot + i * older_bits) % index_bits);
+    }
+    return idx & mask(index_bits);
+}
+
+TEST(PathHistoryTest, IndexMatchesModuloFormula)
+{
+    // Depths 1-16 and several older/last/current widths, with index
+    // widths both above and below olderBits (the shift step wraps
+    // more than once per entry there).
+    const unsigned widths[][3] = {
+        {2, 4, 10}, {1, 3, 6}, {3, 5, 12}, {7, 8, 16}, {12, 12, 20}};
+    const unsigned index_widths[] = {3, 4, 5, 8, 10, 11, 12, 16, 24};
+    std::uint64_t rng = 0x2545f4914f6cdd1dULL;
+    auto next = [&rng]() {
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        return rng >> 16;
+    };
+    for (unsigned depth = 1; depth <= PathHistory::maxDepth; ++depth) {
+        for (const auto &w : widths) {
+            PathHistory p(depth, w[0], w[1], w[2]);
+            for (unsigned pushes = 0; pushes < 2 * depth + 3; ++pushes) {
+                for (unsigned ib : index_widths) {
+                    Addr pc = next();
+                    PathHistory::Snapshot s = p.snapshot();
+                    std::uint64_t want = referencePathIndex(
+                        s, depth, w[0], w[1], w[2], pc, ib);
+                    ASSERT_EQ(p.index(pc, ib), want)
+                        << depth << "-" << w[0] << ", " << ib << " bits";
+                }
+                p.push(next());
+            }
+        }
+    }
 }
 
 TEST(RasTest, PushPopLifo)

@@ -10,6 +10,7 @@
  * never UB; restored caches replay identical hit/miss sequences.
  */
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -640,6 +641,129 @@ TEST_F(MalformedCheckpoint, RestoreIntoUsedSimulatorRefused)
     sim.run();
     EXPECT_THROW(sim.restoreCheckpointFromString(*valid),
                  CheckpointError);
+}
+
+namespace
+{
+
+std::uint64_t
+readLe(const std::string &bytes, std::size_t at, int width)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i) {
+        auto byte = static_cast<unsigned char>(bytes[at + i]);
+        v |= static_cast<std::uint64_t>(byte) << (8 * i);
+    }
+    return v;
+}
+
+void
+writeLe64(std::string &bytes, std::size_t at, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/** A memory-bound thread whose fetch buffer, decode and rename
+ *  latches are all occupied when the warmup ends. */
+SimConfig
+cloggedLatchConfig()
+{
+    return smallConfig("mcf", EngineKind::Stream, 1, 8, 0, 2'000, 1'000);
+}
+
+/** Offset of thread 0's u32 dispatched count (robCount) in the
+ *  core.state section. */
+std::size_t
+thread0RobCount(const std::string &bytes)
+{
+    const std::string name = "core.state";
+    std::size_t at = bytes.find(name);
+    EXPECT_NE(at, std::string::npos);
+    // Name and payload size; then cycle, stamp, the two rotation
+    // pointers and the icounts.
+    return at + name.size() + 8 + 8 + 8 + 4 + 4 + 4 * maxThreads;
+}
+
+/** Offsets of thread 0's latch lists (each at its u32 count) in the
+ *  core.state section: the fetch buffer, decode and rename lists. */
+std::array<std::size_t, 3>
+thread0LatchLists(const std::string &bytes)
+{
+    // Past the robCounts and the buffer capacity.
+    std::size_t at = thread0RobCount(bytes) + 4 * maxThreads + 4;
+    std::array<std::size_t, 3> lists{};
+    for (std::size_t &list : lists) {
+        list = at;
+        at += 4 + 8 * readLe(bytes, at, 4);
+    }
+    return lists;
+}
+
+} // namespace
+
+TEST(MalformedLatches, ValidLatchesRestore)
+{
+    const SimConfig cfg = cloggedLatchConfig();
+    Simulator sim(cfg);
+    sim.runWarmup();
+    const std::string bytes = sim.saveCheckpointToString();
+    const auto lists = thread0LatchLists(bytes);
+    for (std::size_t list : lists)
+        EXPECT_GE(readLe(bytes, list, 4), 2u);
+    Simulator restored(cfg);
+    restored.restoreCheckpointFromString(bytes); // must not throw
+}
+
+TEST(MalformedLatches, LatchesThatDoNotTileTheRobRejected)
+{
+    // One more dispatched instruction than the ROB holds below the
+    // latches: the lists are right, but they no longer meet the
+    // dispatched entries.
+    const SimConfig cfg = cloggedLatchConfig();
+    Simulator sim(cfg);
+    sim.runWarmup();
+    std::string bytes = sim.saveCheckpointToString();
+    const std::size_t at = thread0RobCount(bytes);
+    bytes[at] = static_cast<char>(bytes[at] + 1);
+    expectRestoreFails(cfg, resealed(bytes), "corrupt payload");
+}
+
+TEST(MalformedLatches, LatchListOutOfOrderRejected)
+{
+    // Each latch must list its ROB range in order; two swapped
+    // entries name instructions at each other's ROB positions.
+    const SimConfig cfg = cloggedLatchConfig();
+    Simulator sim(cfg);
+    sim.runWarmup();
+    const std::string valid = sim.saveCheckpointToString();
+    for (std::size_t list : thread0LatchLists(valid)) {
+        std::string bytes = valid;
+        ASSERT_GE(readLe(bytes, list, 4), 2u);
+        std::uint64_t first = readLe(bytes, list + 4, 8);
+        std::uint64_t second = readLe(bytes, list + 12, 8);
+        writeLe64(bytes, list + 4, second);
+        writeLe64(bytes, list + 12, first);
+        expectRestoreFails(cfg, resealed(bytes), "corrupt reference");
+    }
+}
+
+TEST(MalformedLatches, LatchListOutsideItsRangeRejected)
+{
+    // An instruction that is in the ROB, but in another latch's
+    // range: each list's oldest entry replaced by the next list's.
+    const SimConfig cfg = cloggedLatchConfig();
+    Simulator sim(cfg);
+    sim.runWarmup();
+    const std::string valid = sim.saveCheckpointToString();
+    const auto lists = thread0LatchLists(valid);
+    for (int k = 0; k < 3; ++k) {
+        std::string bytes = valid;
+        const std::size_t list = lists[k];
+        const std::size_t other = lists[(k + 1) % 3];
+        writeLe64(bytes, list + 4, readLe(bytes, other + 4, 8));
+        expectRestoreFails(cfg, resealed(bytes), "corrupt reference");
+    }
 }
 
 // ---------------------------------------------------------------------

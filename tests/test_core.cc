@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the SMT core components: FTQ, fetch policies, rename unit,
- * issue queues and core parameters.
+ * ROB, the latches over it, issue queues and core parameters.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 #include "core/rename.hh"
 #include "core/rob.hh"
 #include "sim/checkpoint.hh"
+#include "sim/sim_config.hh"
+#include "sim/simulator.hh"
 
 namespace smt
 {
@@ -80,7 +82,7 @@ TEST(PolicyTest, IcountTieBreakRotates)
     std::uint32_t icounts[2] = {7, 7};
     std::vector<ThreadID> o0, o1;
     policy.order(0, icounts, 2, o0);
-    policy.order(1, icounts, 2, o1);
+    policy.order(1, icounts, 2, o1); // rotation = cycle mod threads
     EXPECT_NE(o0[0], o1[0]); // fair under ties
 }
 
@@ -89,7 +91,7 @@ TEST(PolicyTest, RoundRobinRotates)
     RoundRobinPolicy policy;
     std::uint32_t icounts[3] = {100, 0, 50}; // ignored
     std::vector<ThreadID> order;
-    policy.order(7, icounts, 3, order);
+    policy.order(7 % 3, icounts, 3, order); // cycle 7
     EXPECT_EQ(order[0], 7 % 3);
     EXPECT_EQ(order[1], (7 + 1) % 3);
 }
@@ -321,6 +323,68 @@ TEST(RobTest, CheckpointRingNeverReusesALiveSlot)
     EXPECT_EQ(head.ckpt, &held);
     EXPECT_EQ(held.blockStart, 0x4000u);
     EXPECT_EQ(held.ghist, 0xfeedu);
+}
+
+// --- Latches as ROB ranges -------------------------------------------
+
+TEST(LatchTest, LatchesTileTheRobYoungEndAcrossSquashes)
+{
+    // Mispredict and FLUSH squashes empty every latch of the thread;
+    // on top of those, squash after a random correct-path entry
+    // (dispatched or in any latch) in one cycle of four. After every
+    // step, each ROB entry at or past robCount must sit in the latch
+    // its position names (rename, then decode, then fetch buffer), at
+    // that latch's stage, and the icounts must still match.
+    struct Case
+    {
+        const char *workload;
+        EngineKind engine;
+        unsigned threads, width;
+        LongLoadPolicy longLoad;
+    };
+    const Case cases[] = {
+        {"2_MIX", EngineKind::GshareBtb, 2, 8, LongLoadPolicy::Flush},
+        {"4_ILP", EngineKind::Stream, 1, 16, LongLoadPolicy::None},
+        {"4_MEM", EngineKind::GskewFtb, 2, 16, LongLoadPolicy::Stall},
+    };
+    for (const Case &c : cases) {
+        for (std::uint64_t seed : {0u, 7u}) {
+            SimConfig cfg =
+                table3Config(c.workload, c.engine, c.threads, c.width);
+            cfg.core.longLoadPolicy = c.longLoad;
+            cfg.seed = seed;
+            Simulator sim(cfg);
+            SmtCore &core = sim.core();
+            std::mt19937_64 rng(seed + 1);
+            unsigned latch_squashes = 0;
+            for (int i = 0; i < 6000; ++i) {
+                core.cycle();
+                ASSERT_EQ(core.latchTilingError(), "") << "cycle " << i;
+                core.checkIcountInvariant();
+                if (rng() % 4 != 0)
+                    continue;
+                ThreadID tid = static_cast<ThreadID>(rng() % c.threads);
+                std::vector<std::size_t> candidates;
+                for (std::size_t k = 0; k < core.inFlight(tid); ++k)
+                    if (!core.robEntry(tid, k).wrongPath)
+                        candidates.push_back(k);
+                if (candidates.empty())
+                    continue;
+                std::size_t k = candidates[rng() % candidates.size()];
+                if (k >= core.robOccupancyOf(tid) &&
+                    k + 1 < core.inFlight(tid))
+                    ++latch_squashes;
+                core.squashYoungerThan(tid, k);
+                ASSERT_EQ(core.latchTilingError(), "")
+                    << "squash after entry " << k << " at cycle " << i;
+                core.checkIcountInvariant();
+            }
+            EXPECT_GT(latch_squashes, 100u)
+                << c.workload << " seed " << seed;
+            EXPECT_GT(core.stats().instsCommitted, 0u)
+                << c.workload << " seed " << seed;
+        }
+    }
 }
 
 // --- Issue queues -----------------------------------------------------

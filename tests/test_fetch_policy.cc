@@ -22,14 +22,16 @@ using namespace smt;
 namespace
 {
 
+/** Rank at cycle `now`: the rotation is the cycle modulo the thread
+ *  count, as SmtCore keeps it. */
 std::vector<ThreadID>
 rank(FetchPolicy &policy, Cycle now,
      std::initializer_list<std::uint32_t> icounts)
 {
     std::vector<std::uint32_t> counts(icounts);
     std::vector<ThreadID> out;
-    policy.order(now, counts.data(),
-                 static_cast<unsigned>(counts.size()), out);
+    const auto n = static_cast<unsigned>(counts.size());
+    policy.order(static_cast<unsigned>(now % n), counts.data(), n, out);
     return out;
 }
 
@@ -79,21 +81,21 @@ TEST(FetchPolicy, IcountTieBreakRotatesAcrossCycles)
 
 TEST(FetchPolicy, IcountTieBreakProperty)
 {
-    // Property check over thread counts and random occupancies:
+    // Property check over thread counts and occupancies:
     //  (a) with all threads tied, every thread gets top priority
     //      exactly once across num_threads consecutive cycles;
-    //  (b) any ordering is exactly the stable sort by icount with the
-    //      documented rotating tie-break (the reference comparator
-    //      below) — ties never reorder unequal counts, and the
-    //      allocation-free insertion sort must match std::stable_sort
-    //      bit for bit.
+    //  (b) every ordering is exactly the stable sort by icount with
+    //      the documented rotating tie-break (the reference comparator
+    //      below), checked exhaustively: every icount vector over
+    //      {0, 1, 2} (ties everywhere) for 1-8 threads, at every
+    //      rotation.
     IcountPolicy icount;
     std::vector<ThreadID> out;
     for (unsigned n : {2u, 3u, 5u, 8u}) {
         std::vector<std::uint32_t> tied(n, 7);
         std::vector<unsigned> tops(n, 0);
-        for (Cycle now = 0; now < n; ++now) {
-            icount.order(now, tied.data(), n, out);
+        for (unsigned rotation = 0; rotation < n; ++rotation) {
+            icount.order(rotation, tied.data(), n, out);
             ASSERT_EQ(out.size(), n);
             ++tops[out.front()];
         }
@@ -101,32 +103,32 @@ TEST(FetchPolicy, IcountTieBreakProperty)
             EXPECT_EQ(tops[t], 1u)
                 << "thread " << t << " of " << n
                 << " was not top priority exactly once";
+    }
 
-        std::uint64_t rng = 0x9e3779b97f4a7c15ULL + n;
-        for (Cycle now = 0; now < 4 * n; ++now) {
-            std::vector<std::uint32_t> counts(n);
-            for (auto &c : counts) {
-                rng = rng * 6364136223846793005ULL +
-                      1442695040888963407ULL;
-                c = static_cast<std::uint32_t>((rng >> 33) % 4);
+    for (unsigned n = 1; n <= 8; ++n) {
+        unsigned combos = 1;
+        for (unsigned t = 0; t < n; ++t)
+            combos *= 3;
+        std::vector<std::uint32_t> counts(n);
+        for (unsigned c = 0; c < combos; ++c) {
+            unsigned v = c;
+            for (unsigned t = 0; t < n; ++t, v /= 3)
+                counts[t] = v % 3;
+            for (unsigned rotation = 0; rotation < n; ++rotation) {
+                icount.order(rotation, counts.data(), n, out);
+                std::vector<ThreadID> ref(n);
+                std::iota(ref.begin(), ref.end(), ThreadID{0});
+                std::stable_sort(
+                    ref.begin(), ref.end(),
+                    [&](ThreadID a, ThreadID b) {
+                        if (counts[a] != counts[b])
+                            return counts[a] < counts[b];
+                        return (a + n - rotation) % n <
+                               (b + n - rotation) % n;
+                    });
+                ASSERT_EQ(out, ref)
+                    << n << " threads, case " << c << ", rot " << rotation;
             }
-            icount.order(now, counts.data(), n, out);
-            ASSERT_EQ(out.size(), n);
-
-            std::vector<ThreadID> ref(n);
-            std::iota(ref.begin(), ref.end(), ThreadID{0});
-            unsigned rotate = static_cast<unsigned>(now % n);
-            std::stable_sort(
-                ref.begin(), ref.end(),
-                [&](ThreadID a, ThreadID b) {
-                    if (counts[a] != counts[b])
-                        return counts[a] < counts[b];
-                    return (a + n - rotate) % n < (b + n - rotate) % n;
-                });
-            EXPECT_EQ(out, ref)
-                << "cycle " << now << ", " << n << " threads";
-            for (unsigned i = 1; i < n; ++i)
-                EXPECT_LE(counts[out[i - 1]], counts[out[i]]);
         }
     }
 }

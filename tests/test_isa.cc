@@ -77,12 +77,16 @@ StaticProgram
 makeProgram()
 {
     StaticProgram prog("test", 0x1000);
-    std::vector<StaticInst> b1(3);
-    b1[2].op = OpClass::CondBranch;
-    prog.appendBlock(b1, 0);
-    std::vector<StaticInst> b2(2);
-    b2[1].op = OpClass::Return;
-    prog.appendBlock(b2, 0);
+    StaticInst plain, branch, ret;
+    branch.op = OpClass::CondBranch;
+    ret.op = OpClass::Return;
+    prog.appendInst(plain);
+    prog.appendInst(plain);
+    prog.appendInst(branch);
+    prog.closeBlock(0);
+    prog.appendInst(plain);
+    prog.appendInst(ret);
+    prog.closeBlock(0);
     prog.finalize(0x1000);
     return prog;
 }
