@@ -64,12 +64,13 @@ ExecUnit::completionsAt(
 }
 
 Cycle
-ExecUnit::nextEventCycle(Cycle now) const
+ExecUnit::nextEventCycle(Cycle now, Cycle limit) const
 {
-    for (Cycle d = 1; d < wheelSize; ++d)
+    const Cycle end = limit - now < wheelSize ? limit - now : wheelSize;
+    for (Cycle d = 1; d < end; ++d)
         if (!wheel[(now + d) % wheelSize].empty())
             return now + d;
-    return now;
+    return limit;
 }
 
 void

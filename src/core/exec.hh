@@ -52,12 +52,13 @@ class ExecUnit
     }
 
     /**
-     * Earliest cycle strictly after `now` with a scheduled
-     * completion, or `now` itself when the wheel is empty. Every
-     * live event lies within one wheel revolution of its issue
-     * cycle (issue() panics otherwise), so one scan is exhaustive.
+     * Earliest cycle in (now, limit) with a scheduled completion, or
+     * `limit` when there is none; the scan stops at `limit`, so a
+     * near bound keeps it short. Every live event lies within one
+     * wheel revolution of its issue cycle (issue() panics
+     * otherwise), so a bound past that revolution scans it all.
      */
-    Cycle nextEventCycle(Cycle now) const;
+    Cycle nextEventCycle(Cycle now, Cycle limit) const;
 
     void reset();
 

@@ -225,12 +225,11 @@ SmtCore::quiescentAt(Cycle now)
 Cycle
 SmtCore::nextWakeCycle(Cycle now, Cycle limit) const
 {
+    // The front-end deadline first: it bounds the wheel scan.
     Cycle wake = limit;
-    if (Cycle e = exec.nextEventCycle(now); e > now && e < wake)
-        wake = e;
     if (Cycle d = front->nextDeadlineAfter(now); d > now && d < wake)
         wake = d;
-    return wake;
+    return exec.nextEventCycle(now, wake);
 }
 
 void

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/bitfield.hh"
-#include "util/logging.hh"
 #include "util/random.hh"
 #include "workload/trace.hh"
 
@@ -134,10 +133,15 @@ class Builder
                 s.term = TermType::Jump;
         }
 
-        // Compute addresses.
+        // Compute addresses. A function's blocks are contiguous and
+        // functions come in id order, so each first block's address
+        // lands at its function id in funcEntries.
+        funcEntries.reserve(numFunctions);
         Addr pc = codeBase;
         for (auto &s : specs) {
             s.startPC = pc;
+            if (s.indexInFunc == 0)
+                funcEntries.push_back(pc);
             pc += static_cast<Addr>(s.sizeInsts) * instBytes;
         }
     }
@@ -236,15 +240,6 @@ class Builder
         return caller + 1 + off;
     }
 
-    Addr
-    functionEntry(std::uint32_t func_id) const
-    {
-        for (const auto &s : specs)
-            if (s.funcId == func_id)
-                return s.startPC;
-        panic("function %u not found", func_id);
-    }
-
     /** Pass 2: append one block's instructions to the program. */
     void
     materialize(const BlockSpec &s, BenchmarkImage &img)
@@ -298,7 +293,7 @@ class Builder
           }
           case TermType::Call: {
             t.op = OpClass::CallDirect;
-            t.target = functionEntry(pickCallee(s.funcId));
+            t.target = funcEntries[pickCallee(s.funcId)];
             break;
           }
           case TermType::Ret: {
@@ -509,6 +504,7 @@ class Builder
     double sizeScale;
 
     std::vector<BlockSpec> specs;
+    std::vector<Addr> funcEntries; //!< first-block address by func id
     std::uint32_t numFunctions = 0;
     std::uint64_t dstCounter = 0;
     std::uint64_t fpCounter = 0;

@@ -181,6 +181,43 @@ TEST(CheckpointRoundTrip, FlushPolicySmallRobRoundTripIsBitIdentical)
     EXPECT_GT(restored.registry().value("sim.instsSquashed"), 500.0);
 }
 
+TEST(CheckpointRoundTrip, SquashedCompletionInTheWheelRoundTrips)
+{
+    // Squash an executing instruction right before the snapshot, so
+    // the saved wheel holds a completion for an instruction the saved
+    // ROB no longer has. The uninterrupted run's ROB slot still holds
+    // the squashed bytes; the restored one does not. Both must ignore
+    // the completion alike.
+    SimConfig cfg = smallConfig("2_ILP", EngineKind::Stream, 2, 8, 11);
+
+    Simulator uninterrupted(cfg);
+    uninterrupted.runWarmup();
+    SmtCore &core = uninterrupted.core();
+    bool squashed = false;
+    for (int i = 0; i < 2000 && !squashed; ++i) {
+        core.cycle();
+        for (std::size_t j = 1; j < core.robOccupancyOf(0) && !squashed;
+             ++j) {
+            if (core.robEntry(0, j).stage == InstStage::Issued &&
+                !core.robEntry(0, j - 1).wrongPath) {
+                core.squashYoungerThan(0, j - 1);
+                squashed = true;
+            }
+        }
+    }
+    ASSERT_TRUE(squashed) << "no executing instruction to squash";
+    std::string snapshot = uninterrupted.saveCheckpointToString();
+    uninterrupted.runMeasure();
+
+    Simulator restored(cfg);
+    restored.restoreCheckpointFromString(snapshot);
+    restored.runMeasure();
+
+    EXPECT_EQ(uninterrupted.registry().jsonString(),
+              restored.registry().jsonString());
+    EXPECT_GT(restored.registry().value("commit.insts"), 500.0);
+}
+
 TEST(CheckpointRoundTrip, InMemoryStringRoundTrip)
 {
     SimConfig cfg = smallConfig("2_ILP", EngineKind::Stream, 1, 16, 7);

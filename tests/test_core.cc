@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the SMT core components: FTQ, fetch policies, rename unit,
- * ROB, the latches over it, issue queues and core parameters.
+ * ROB, the latches over it, stale completions, issue queues and core
+ * parameters.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/exec.hh"
 #include "core/fetch_policy.hh"
 #include "core/ftq.hh"
 #include "core/iq.hh"
@@ -323,6 +325,111 @@ TEST(RobTest, CheckpointRingNeverReusesALiveSlot)
     EXPECT_EQ(head.ckpt, &held);
     EXPECT_EQ(held.blockStart, 0x4000u);
     EXPECT_EQ(held.ghist, 0xfeedu);
+}
+
+// --- Stale completions ------------------------------------------------
+
+TEST(CompletionTest, SquashedInstructionInItsSlotIsIgnored)
+{
+    // A squash pops the ROB ring without erasing the slot: the bytes,
+    // seq and stage Issued included, stay until a later create()
+    // reuses it. The completion's (thread, seq) must not resolve.
+    CoreParams params;
+    params.intMultLatency = 7;
+    MemoryHierarchy memory(params.memory);
+    ExecUnit exec(params, memory);
+    Rob rob(1, 8);
+
+    DynInst &kept = rob.create(0);
+    kept.op = OpClass::IntMult;
+    DynInst &squashed = rob.create(0);
+    squashed.op = OpClass::IntMult;
+    exec.issue(kept, 100);
+    exec.issue(squashed, 100);
+    rob.popYoungest(0);
+
+    std::vector<std::pair<ThreadID, InstSeqNum>> due;
+    exec.completionsAt(107, due);
+    ASSERT_EQ(due.size(), 2u);
+    EXPECT_EQ(rob.find(due[0].first, due[0].second), &kept);
+    // The bytes are still there, but the instruction is gone.
+    EXPECT_EQ(squashed.seq, due[1].second);
+    EXPECT_EQ(squashed.stage, InstStage::Issued);
+    EXPECT_EQ(rob.find(due[1].first, due[1].second), nullptr);
+}
+
+TEST(CompletionTest, SlotReusedByAYoungerInstructionIsIgnored)
+{
+    // The squashed instruction's slot goes to the next instruction
+    // fetched, which is itself executing when the stale completion
+    // comes due: only its own completion may finish it.
+    CoreParams params;
+    params.fpLatency = 100;
+    MemoryHierarchy memory(params.memory);
+    ExecUnit exec(params, memory);
+    Rob rob(1, 8);
+
+    DynInst &old_inst = rob.create(0);
+    old_inst.op = OpClass::FpAlu;
+    exec.issue(old_inst, 0);
+    const InstSeqNum old_seq = old_inst.seq;
+    rob.popYoungest(0);
+    DynInst &young = rob.create(0);
+    ASSERT_EQ(&young, &old_inst); // same slot, new instruction
+    young.op = OpClass::FpAlu;
+    exec.issue(young, 1);
+
+    std::vector<std::pair<ThreadID, InstSeqNum>> due;
+    exec.completionsAt(100, due);
+    ASSERT_EQ(due.size(), 1u);
+    EXPECT_EQ(due[0].second, old_seq);
+    EXPECT_EQ(young.stage, InstStage::Issued);
+    EXPECT_EQ(rob.find(due[0].first, due[0].second), nullptr);
+
+    exec.completionsAt(101, due);
+    ASSERT_EQ(due.size(), 1u);
+    EXPECT_EQ(rob.find(due[0].first, due[0].second), &young);
+}
+
+TEST(CompletionTest, WritebackLeavesASquashedSlotAlone)
+{
+    // In a running core: squash an executing instruction, then stall
+    // the thread's fetch so nothing reuses its ROB slot. Once every
+    // completion issued before the squash has come due, the slot
+    // must still hold the squashed instruction, untouched by
+    // writeback (still Issued, not Done).
+    SimConfig cfg = table3Config("4_ILP", EngineKind::GshareBtb, 1, 8);
+    cfg.core.longLoadPolicy = LongLoadPolicy::None;
+    Simulator sim(cfg);
+    SmtCore &core = sim.core();
+    const ThreadID tid = 0;
+
+    const DynInst *slot = nullptr;
+    InstSeqNum seq = 0;
+    for (int i = 0; i < 5000 && slot == nullptr; ++i) {
+        core.cycle();
+        for (std::size_t j = 1; j < core.robOccupancyOf(tid); ++j) {
+            const DynInst &older = core.robEntry(tid, j - 1);
+            const DynInst &inst = core.robEntry(tid, j);
+            if (inst.stage != InstStage::Issued || older.wrongPath ||
+                older.mispredicted)
+                continue;
+            slot = &inst;
+            seq = inst.seq;
+            core.squashYoungerThan(tid, j - 1);
+            core.frontEnd().stallThread(tid, core.now() + 10'000);
+            break;
+        }
+    }
+    ASSERT_NE(slot, nullptr) << "no executing instruction to squash";
+
+    // Longer than any latency the completion wheel can hold.
+    for (int i = 0; i < 2048; ++i)
+        core.cycle();
+    EXPECT_EQ(slot->seq, seq) << "the slot was reused";
+    EXPECT_EQ(slot->stage, InstStage::Issued);
+    EXPECT_EQ(core.latchTilingError(), "");
+    core.checkIcountInvariant();
 }
 
 // --- Latches as ROB ranges -------------------------------------------

@@ -109,7 +109,8 @@ TEST(CycleSkipWheel, NextEventCycleFindsScheduledCompletions)
     ExecUnit exec(params, memory);
 
     const Cycle now = 5'000;
-    EXPECT_EQ(exec.nextEventCycle(now), now); // empty wheel
+    const Cycle far = now + 10'000; // past one wheel revolution
+    EXPECT_EQ(exec.nextEventCycle(now, far), far); // empty wheel
     EXPECT_FALSE(exec.pendingAt(now));
 
     DynInst fp;
@@ -126,18 +127,25 @@ TEST(CycleSkipWheel, NextEventCycleFindsScheduledCompletions)
 
     // Earliest event wins; the scan sees past slots as future ones
     // (modular wheel), so the answer is exact, not wrapped.
-    EXPECT_EQ(exec.nextEventCycle(now), now + 7);
+    EXPECT_EQ(exec.nextEventCycle(now, far), now + 7);
     EXPECT_FALSE(exec.pendingAt(now));
     EXPECT_TRUE(exec.pendingAt(now + 7));
+
+    // The scan stops at its bound: an event at or past the limit is
+    // not reported, and the limit comes back instead.
+    EXPECT_EQ(exec.nextEventCycle(now, now + 7), now + 7);
+    EXPECT_EQ(exec.nextEventCycle(now, now + 3), now + 3);
+    EXPECT_EQ(exec.nextEventCycle(now, now + 8), now + 7);
 
     // Drain the multiply; the fp completion becomes the next event.
     std::vector<std::pair<ThreadID, InstSeqNum>> done;
     exec.completionsAt(now + 7, done);
     ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(exec.nextEventCycle(now + 7), now + 100);
+    EXPECT_EQ(exec.nextEventCycle(now + 7, far), now + 100);
+    EXPECT_EQ(exec.nextEventCycle(now + 7, now + 50), now + 50);
 
     exec.completionsAt(now + 100, done);
-    EXPECT_EQ(exec.nextEventCycle(now + 100), now + 100);
+    EXPECT_EQ(exec.nextEventCycle(now + 100, far), far);
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/checkpoint.hh"
+#include "util/sha256.hh"
 #include "workload/branch_model.hh"
 #include "workload/memory_model.hh"
 #include "workload/profiles.hh"
@@ -100,6 +101,44 @@ expectSameImage(const BenchmarkImage &a, const BenchmarkImage &b)
     EXPECT_EQ(a.dataBase, b.dataBase);
     EXPECT_EQ(a.dataBytes, b.dataBytes);
     EXPECT_EQ(a.sizeScale, b.sizeScale);
+}
+
+/**
+ * SHA-256 of an image's content: each static instruction's pc, op,
+ * sources, destination, target, model id and block index in address
+ * order (fixed-width little-endian), then the three model
+ * fingerprints. The fingerprints are checkpoint bytes, so a
+ * checkpoint format change moves these digests too.
+ */
+std::string
+imageDigest(const BenchmarkImage &img)
+{
+    Sha256 h;
+    auto put = [&h](std::uint64_t v, unsigned bytes) {
+        unsigned char le[8];
+        for (unsigned i = 0; i < bytes; ++i)
+            le[i] = static_cast<unsigned char>(v >> (8 * i));
+        h.update(le, bytes);
+    };
+    for (Addr pc = img.program.base(); pc < img.program.limit();
+         pc += instBytes) {
+        const StaticInst &si = *img.program.lookup(pc);
+        put(si.pc, 8);
+        put(static_cast<std::uint8_t>(si.op), 1);
+        put(static_cast<std::uint16_t>(si.src1), 2);
+        put(static_cast<std::uint16_t>(si.src2), 2);
+        put(static_cast<std::uint16_t>(si.dst), 2);
+        put(si.target, 8);
+        put(si.modelId, 4);
+        put(si.blockIndex, 4);
+    }
+    for (const std::string &f : {branchFingerprint(img),
+                                 indirectFingerprint(img),
+                                 memoryFingerprint(img)}) {
+        put(f.size(), 8);
+        h.update(f.data(), f.size());
+    }
+    return h.hexDigest();
 }
 
 /** A fresh calibration of the image a workload thread was given. */
@@ -286,6 +325,44 @@ TEST(BuilderTest, EveryCtiHasValidTarget)
             EXPECT_TRUE(prog.contains(si->target))
                 << "CTI at " << std::hex << pc;
         }
+    }
+}
+
+TEST(BuilderTest, EveryProfileBuildsItsPinnedImage)
+{
+    // One builder pass per profile at fixed bases, seed and scale.
+    // The digests pin every benchmark's image, not only those the
+    // goldens run, so a builder change that moves any instruction,
+    // call target or model shows here.
+    std::map<std::string, std::string> pinned;
+    pinned["bzip2"] =
+        "d8f4d6203a91944f37e76fbfd4cd226ffd8d0b4c4e0588e1c78e35a6791b59b8";
+    pinned["crafty"] =
+        "258116259af9526f65f352f2cfe516452da2ae84327c78587391421abf2f158c";
+    pinned["eon"] =
+        "fc95c01f1edd48bbe0efa0c5d737016333864ae3c5335beaf9d5ff101c990ad5";
+    pinned["gap"] =
+        "841c149bdca169a20cfc1b944f79b3e6b42dfdaf21756c61d1a184861509a167";
+    pinned["gcc"] =
+        "cccf826a887f9ff221370272b716144b9e4672c8acd5f67ca312381d8756ffea";
+    pinned["gzip"] =
+        "cafbc2fd7f57f6262df8e49dddc2ea7138af6ada5dd034fc3065b99aa9b5db0f";
+    pinned["mcf"] =
+        "571d10c60beb99a4fc2ffb7a083866188633d9c11296394d3adbc56501ad67f8";
+    pinned["parser"] =
+        "185ce3c96760ebc7df77175bfc3cc798d159d76fd67314a90bf4a9547236f71e";
+    pinned["perlbmk"] =
+        "9fce38e384f72c580067774934403b2979b5991439cdf4fa52318909cad10ebb";
+    pinned["twolf"] =
+        "a26010b282614d4faa5846a6bf8649871c6099e4840308f055109c42a9b5a0e6";
+    pinned["vortex"] =
+        "1fc0de6c52a149459e5f51291efef470d9b28524585725771a476b38d3e6712d";
+    pinned["vpr"] =
+        "d0b280b400ba79bc9969ca1861bb53cefca1bba2e3db4911616d5b96af87f481";
+    ASSERT_EQ(allProfiles().size(), pinned.size());
+    for (const auto &prof : allProfiles()) {
+        auto img = buildImageAtScale(prof, 0x400000, 0x40000000, 1, 1.0);
+        EXPECT_EQ(imageDigest(img), pinned.at(prof.name)) << prof.name;
     }
 }
 
