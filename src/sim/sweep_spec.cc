@@ -13,7 +13,6 @@
 
 #include "bpred/engine_registry.hh"
 #include "util/logging.hh"
-#include "workload/corpus.hh"
 #include "workload/profiles.hh"
 #include "workload/trace.hh"
 #include "workload/workloads.hh"
@@ -294,46 +293,7 @@ parseSweepBlock(const JsonValue &v, const std::string &context)
         if (key == "workloads") {
             for (const JsonValue *w : scalarOrArray(value)) {
                 std::string name;
-                if (w->isObject() && w->find("corpus") != nullptr) {
-                    // {"corpus": "manifest.json", "mix": [labels]}:
-                    // resolve benchmark labels through a trace-corpus
-                    // manifest into per-thread trace paths, verifying
-                    // each trace's checksum and header up front.
-                    const JsonValue *mix = w->find("mix");
-                    if (mix == nullptr || w->size() != 2)
-                        specFail(context,
-                                 "a corpus workload object must "
-                                 "have exactly the keys \"corpus\" "
-                                 "(a manifest path) and \"mix\" (a "
-                                 "benchmark label or an array of "
-                                 "per-thread labels)");
-                    const std::string &manifest_path = stringValue(
-                        *w->find("corpus"), context,
-                        "a corpus manifest path");
-                    try {
-                        CorpusManifest manifest =
-                            loadCorpusManifest(manifest_path);
-                        name = "trace:";
-                        bool first = true;
-                        for (const JsonValue *l :
-                             scalarOrArray(*mix)) {
-                            const std::string &label = stringValue(
-                                *l, context, "a mix label");
-                            const CorpusEntry &entry =
-                                manifest.find(label);
-                            validateCorpusEntry(manifest, entry);
-                            name += (first ? "" : ",") +
-                                    entry.resolvedPath;
-                            first = false;
-                        }
-                        if (first)
-                            specFail(context,
-                                     "\"mix\" must name at least "
-                                     "one benchmark label");
-                    } catch (const CorpusError &e) {
-                        specFail(context, e.what());
-                    }
-                } else if (w->isObject()) {
+                if (w->isObject()) {
                     // {"trace": "path.trc"} or {"trace": [p0, p1]}:
                     // a file-backed replay workload, one thread per
                     // path.
@@ -343,8 +303,7 @@ parseSweepBlock(const JsonValue &v, const std::string &context)
                                  "a workload object must have "
                                  "exactly the key \"trace\" (a "
                                  "path or an array of per-thread "
-                                 "paths) or the keys \"corpus\" "
-                                 "and \"mix\"");
+                                 "paths)");
                     name = "trace:";
                     bool first = true;
                     for (const JsonValue *p : scalarOrArray(*tr)) {

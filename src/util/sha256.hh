@@ -1,8 +1,9 @@
 /**
  * @file
- * Self-contained SHA-256 (FIPS 180-4) for trace-corpus checksums.
- * Streaming interface so multi-GB trace files hash in fixed memory;
- * no external dependencies.
+ * Self-contained SHA-256 (FIPS 180-4): keys warmup snapshots to the
+ * simulator binary and fingerprints perfbench inputs and results.
+ * Streaming interface so large files hash in fixed memory; no
+ * external dependencies.
  */
 
 #ifndef SMTFETCH_UTIL_SHA256_HH

@@ -698,6 +698,19 @@ FileTraceStream::generate()
             reader.path().c_str(),
             (unsigned long long)reader.recordsRead()));
 
+    // A correct-path trace is one chain of control flow. A broken
+    // link is a corrupt payload the raw codec has no checksum for;
+    // replaying it would misalign fetch with the trace.
+    if (expectedPc != invalidAddr && p.pc != expectedPc)
+        throw TraceFileError(csprintf(
+            "%s: record %llu pc 0x%llx does not follow the previous "
+            "record's next pc 0x%llx (corrupt payload)",
+            reader.path().c_str(),
+            (unsigned long long)(reader.recordsRead() - 1),
+            (unsigned long long)p.pc,
+            (unsigned long long)expectedPc));
+    expectedPc = p.nextPc;
+
     const StaticInst *si = img.program.lookup(p.pc);
     if (si == nullptr)
         throw TraceFileError(csprintf(
@@ -760,6 +773,7 @@ FileTraceStream::restore(CheckpointReader &r)
                             reader.header().recordCount,
                         (unsigned long long)skip));
     reader.skipTo(skip);
+    expectedPc = invalidAddr;
 }
 
 } // namespace smt

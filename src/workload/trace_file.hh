@@ -297,6 +297,13 @@ class FileTraceStream : public TraceSource
   private:
     TraceReader reader;
 
+    /**
+     * The previous decoded record's nextPc, which the next record's pc
+     * must equal; invalidAddr before the first record after an open or
+     * a restore.
+     */
+    Addr expectedPc = invalidAddr;
+
     /** Error of the record a batch stopped short of. */
     std::exception_ptr deferredError;
 };

@@ -4,8 +4,11 @@
 Each subcommand drives the built binaries through their flags, files
 and exit codes and checks one determinism or robustness invariant:
 
-  record_replay       a recorded run replays to the same results, and
-                      a trace naming an unknown benchmark exits 2
+  record_replay       a recorded run replays to the same results,
+                      tracegen traces in both codecs replay as one
+                      2-thread mix, and a trace naming an unknown
+                      benchmark or tampered by one byte exits 2
+                      naming the file
   checkpoint_engines  --checkpoint-dir round trip, per engine: a warm
                       run restores the cold run's snapshot and matches
                       the plain run
@@ -13,9 +16,6 @@ and exit codes and checks one determinism or robustness invariant:
                       second pass restores every warmup from disk, a
                       rebuilt binary runs its own warmups, and a
                       corrupted directory falls back to plain runs
-  corpus_manifest     tracegen manifests hash-check independently,
-                      replay (also through an absolute manifest path),
-                      and reject a tampered trace
   bad_flags           malformed numeric flags and removed flags fail,
                       name the flag and write nothing; a directory
                       flag naming a regular file exits 2 naming its
@@ -29,7 +29,6 @@ CMake registers one `cli_<gate>` ctest per subcommand:
 """
 
 import argparse
-import hashlib
 import json
 import shutil
 import subprocess
@@ -146,6 +145,31 @@ def record_replay(g):
           and "known: gzip" in err,
           f"unknown-benchmark trace error is not actionable:\n{err}")
     print("unknown benchmark rejected:", err.strip())
+
+    # tracegen traces in both block codecs replay as one 2-thread mix.
+    traces = {"tg_gzip.trc": ("gzip", "raw"),
+              "tg_mcf.trc": ("mcf", "deflate")}
+    for path, (bench, codec) in traces.items():
+        g.tgen("--insts", 100000, "--codec", codec, bench, path)
+    g.write_spec("mix.json", spec("mix", [{"trace": list(traces)}]))
+    g.smt("--quiet", "mix.json")
+    g.check_bench("--min-results", 1, g.work / "BENCH_mix.json")
+
+    # One flipped byte mid-file is a corrupt payload: the deflate
+    # block fails to inflate, and the raw record breaks the chain of
+    # next pcs. Either exits 2 naming the file, never a fetch panic.
+    for path in traces:
+        data = bytearray((g.work / path).read_bytes())
+        data[len(data) // 2] ^= 0x01
+        (g.work / path).write_bytes(bytes(data))
+        tamper = spec("tamper", [{"trace": path}])
+        tamper["measureCycles"] = 1000000
+        g.write_spec("tamper.json", tamper)
+        err = g.smt("--quiet", "--no-json", "tamper.json",
+                    expect_rc=2).stderr
+        check(path in err and "corrupt payload" in err,
+              f"tampered {path} error is not actionable:\n{err}")
+        print("tampered trace rejected:", err.strip())
 
 
 def checkpoint_engines(g):
@@ -265,56 +289,6 @@ def warmup_cache(g):
           err.strip().splitlines()[0])
 
 
-def corpus_manifest(g):
-    manifest = g.work / "corpus" / "manifest.json"
-    g.mkdirs("corpus")
-    for bench, codec in (("gzip", "raw"), ("mcf", "deflate")):
-        g.tgen("--insts", 100000, "--codec", codec, "--manifest",
-               "corpus/manifest.json", bench, f"corpus/{bench}.trc")
-
-    doc = load(manifest)
-    check(doc["formatVersion"] == 1, f"manifest format {doc}")
-    check(sorted(e["benchmark"] for e in doc["traces"]) == ["gzip", "mcf"],
-          f"manifest entries {doc['traces']}")
-    for entry in doc["traces"]:
-        data = (manifest.parent / entry["path"]).read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        check(digest == entry["sha256"],
-              f"{entry['path']}: sha256 {digest}, manifest {entry}")
-        check(entry["records"] == 100000, f"record count in {entry}")
-        check(entry["traceVersion"] == 2, f"trace version in {entry}")
-        print(entry["path"], entry["records"], "records, sha256 ok")
-
-    mix = {"corpus": "corpus/manifest.json", "mix": ["gzip", "mcf"]}
-    g.write_spec("corpus.json", spec("corpus", [mix]))
-    g.smt("--quiet", "corpus.json")
-    g.check_bench("--min-results", 1, g.work / "BENCH_corpus.json")
-
-    # An absolute manifest path with a relative trace path must still
-    # list the trace relative to the manifest's directory.
-    g.mkdirs("abs")
-    abs_manifest = g.work / "abs" / "manifest.json"
-    g.tgen("--insts", 100000, "--manifest", abs_manifest, "gzip",
-           "abs/g.trc")
-    [entry] = load(abs_manifest)["traces"]
-    check(entry["path"] == "g.trc",
-          f"absolute manifest lists {entry['path']!r}, not 'g.trc'")
-    g.write_spec("abs.json", spec("abs", [
-        {"corpus": str(abs_manifest), "mix": ["gzip"]}]))
-    g.smt("--quiet", "--out-dir", "abs", "abs.json")
-    g.check_bench("--min-results", 1, g.work / "abs" / "BENCH_abs.json")
-    print("absolute manifest lists", entry["path"], "and replays")
-
-    trace = g.work / "corpus" / "gzip.trc"
-    data = bytearray(trace.read_bytes())
-    data[len(data) // 2] ^= 0x01
-    trace.write_bytes(bytes(data))
-    err = g.smt("--quiet", "--no-json", "corpus.json", expect_rc=None).stderr
-    check("checksum mismatch" in err and "gzip.trc" in err,
-          f"tampered trace error is not actionable:\n{err}")
-    print("tampered trace rejected:", err.strip())
-
-
 def bad_flags(g):
     # Valid controls first, so a failure below is the flag's.
     g.tgen("--insts", 1000, "--code-base", "0x400000", "gzip", "ok.trc")
@@ -333,12 +307,15 @@ def bad_flags(g):
         ("smtsim", "--seed", ["--seed", "1e3"]),
         ("smtsim", "--record-pad", ["--record-pad", " 7"]),
         ("smtsim", "--record-pad", ["--record-pad", "100"]),
+        ("tracegen", "--insts", ["--insts", "0"]),
         # Removed flags and values: the checkpoint directory is the
-        # one store; deflate is always built, blocks are fixed-size.
+        # one store; deflate is always built, blocks are fixed-size;
+        # traces are named by path, not through a manifest.
         ("smtsim", "--save-checkpoint",
          ["--save-checkpoint", "out/x.ckpt"]),
         ("tracegen", "--block-records", ["--block-records", "16"]),
         ("tracegen", "--codec", ["--codec", "auto"]),
+        ("tracegen", "--manifest", ["--manifest", "m.json"]),
     ]
     for tool, flag, argv in cases:
         out = g.work / "out"
@@ -353,6 +330,7 @@ def bad_flags(g):
         check(not any(out.iterdir()), f"{tool} {argv} wrote output")
         out.rmdir()
         print(f"{tool} {' '.join(argv)}: {err.strip()}")
+    check(not (g.work / "m.json").exists(), "tracegen --manifest wrote m.json")
 
     # A directory flag naming a regular file fails before simulating,
     # and the message names the flag's role.
@@ -372,7 +350,7 @@ def bad_flags(g):
 
 
 GATES = {f.__name__: f for f in (record_replay, checkpoint_engines,
-                                  warmup_cache, corpus_manifest, bad_flags)}
+                                  warmup_cache, bad_flags)}
 
 
 def main():

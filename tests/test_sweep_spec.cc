@@ -450,6 +450,14 @@ TEST(SweepSpec, TraceWorkloadsParseIntoTraceNames)
                 "policies": ["1.8"]})");
         },
         "exactly the key \"trace\"");
+    // Traces are named by path only: there is no manifest form.
+    expectSpecError(
+        [] {
+            SweepSpec::fromString(R"({"name": "x",
+                "workloads": [{"corpus": "m.json", "mix": ["gzip"]}],
+                "policies": ["1.8"]})");
+        },
+        "exactly the key \"trace\"");
     expectSpecError(
         [] {
             SweepSpec::fromString(R"({"name": "x",

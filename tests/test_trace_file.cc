@@ -320,6 +320,54 @@ TEST(TraceFile, BatchStopsShortOfACorruptRecord)
     expectTraceError([&] { replay.next(); }, "record 100");
 }
 
+TEST(TraceFile, BrokenRecordChainIsActionable)
+{
+    // Record 50's pc moves to another instruction of the same op
+    // kind, so the pc-in-image and op-kind checks both pass. The raw
+    // codec has no checksum: only the chain of next pcs catches it,
+    // as an error naming the file and the record, not a fetch panic.
+    BenchmarkImage img = gzipImage();
+    std::vector<PackedTraceRecord> recs;
+    {
+        TraceReader src(makeSmallTrace(img, 100).path);
+        PackedTraceRecord rec;
+        while (src.next(rec))
+            recs.push_back(rec);
+    }
+    const std::size_t broken = 50;
+    bool moved = false;
+    for (const PackedTraceRecord &other : recs) {
+        if (other.kind == recs[broken].kind &&
+            other.pc != recs[broken].pc) {
+            recs[broken].pc = other.pc;
+            moved = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(moved);
+    const std::string path = tempPath("broken_chain.trc");
+    TraceWriter w(path, headerFor(img), smallRawBlocks);
+    for (const PackedTraceRecord &rec : recs)
+        w.append(rec);
+    w.close();
+
+    FileTraceStream replay(img, path);
+    for (std::size_t i = 0; i < broken; ++i)
+        replay.next();
+    try {
+        replay.next();
+        FAIL() << "broken record chain went undetected";
+    } catch (const TraceFileError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(path + ": record 50 pc "), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("does not follow the previous record's "
+                           "next pc"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 TEST(TraceFile, PeekAheadAcrossBatchesMatchesNext)
 {
     BenchmarkImage img = gzipImage();

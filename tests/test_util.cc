@@ -1,10 +1,11 @@
 /**
  * @file
  * Unit tests for the utility substrate: RNG determinism, saturating
- * counters, ring buffers, histograms, bit helpers and the table
- * printer.
+ * counters, ring buffers, histograms, bit helpers, the table
+ * printer and SHA-256.
  */
 
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "util/random.hh"
 #include "util/ring_buffer.hh"
 #include "util/sat_counter.hh"
+#include "util/sha256.hh"
 #include "util/table.hh"
 
 namespace smt
@@ -294,6 +296,35 @@ TEST(TextTable, RendersAlignedRows)
 TEST(TextTable, NumFormat)
 {
     EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
+}
+
+TEST(Sha256, MatchesKnownVectors)
+{
+    // FIPS 180-4 test vectors.
+    EXPECT_EQ(sha256Hex("", 0),
+              "e3b0c44298fc1c149afbf4c8996fb924"
+              "27ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(sha256Hex("abc", 3),
+              "ba7816bf8f01cfea414140de5dae2223"
+              "b00361a396177a9cb410ff61f20015ad");
+    const std::string two_blocks =
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+    EXPECT_EQ(sha256Hex(two_blocks.data(), two_blocks.size()),
+              "248d6a61d20638b8e5c026930c3e6039"
+              "a33ce45964ff2167f6ecedd419db06c1");
+
+    // Streaming across block boundaries agrees with one-shot.
+    Sha256 ctx;
+    for (char c : two_blocks)
+        ctx.update(&c, 1);
+    EXPECT_EQ(ctx.hexDigest(),
+              sha256Hex(two_blocks.data(), two_blocks.size()));
+
+    // File digest agrees with the in-memory digest.
+    const std::string path = ::testing::TempDir() + "digest.bin";
+    std::ofstream(path, std::ios::binary) << two_blocks;
+    EXPECT_EQ(sha256File(path),
+              sha256Hex(two_blocks.data(), two_blocks.size()));
 }
 
 } // namespace

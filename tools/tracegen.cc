@@ -14,12 +14,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 
 #include "util/flag_value.hh"
-#include "workload/corpus.hh"
 #include "workload/profiles.hh"
 #include "workload/program_builder.hh"
 #include "workload/trace.hh"
@@ -48,8 +46,6 @@ usage(std::FILE *out)
         "  --data-base A  data base address (default 0x40000000)\n"
         "  --codec C      block codec: raw or deflate (default\n"
         "                 deflate)\n"
-        "  --manifest P   append the trace to corpus manifest P,\n"
-        "                 creating it if needed\n"
         "  --list         list the benchmark profiles and exit\n"
         "  -h, --help     show this help\n");
 }
@@ -66,51 +62,6 @@ parseNum(const char *flag, const char *text, bool allow_hex = false)
     }
 }
 
-/**
- * Add (or refresh) the freshly-written trace in a corpus manifest,
- * creating the manifest when it does not exist yet. The listed path
- * is manifest-relative when the trace sits under the manifest's
- * directory, so the corpus stays relocatable, and absolute otherwise.
- * Both paths are compared absolute and lexically normalised, so a
- * relative trace path matches an absolute manifest path.
- */
-void
-appendToManifest(const std::string &manifest_path,
-                 const std::string &trace_path)
-{
-    CorpusManifest manifest;
-    manifest.path = manifest_path;
-    if (std::FILE *f = std::fopen(manifest_path.c_str(), "rb")) {
-        std::fclose(f);
-        manifest = loadCorpusManifest(manifest_path);
-    }
-
-    namespace fs = std::filesystem;
-    const fs::path trace = fs::absolute(trace_path).lexically_normal();
-    const fs::path rel = trace.lexically_relative(
-        fs::absolute(manifest_path).lexically_normal().parent_path());
-    const bool under = !rel.empty() && *rel.begin() != "..";
-    const std::string listed =
-        (under ? rel : trace).generic_string();
-
-    CorpusEntry entry = describeTrace(trace_path, listed);
-    bool replaced = false;
-    for (auto &e : manifest.entries) {
-        if (e.path == entry.path ||
-            e.benchmark == entry.benchmark) {
-            e = entry;
-            replaced = true;
-            break;
-        }
-    }
-    if (!replaced)
-        manifest.entries.push_back(entry);
-    writeCorpusManifest(manifest);
-    std::printf("%s %s in %s (%s)\n",
-                replaced ? "updated" : "added", listed.c_str(),
-                manifest_path.c_str(), entry.sha256.c_str());
-}
-
 } // namespace
 
 int
@@ -121,7 +72,7 @@ main(int argc, char **argv)
     Addr code_base = 0x400000;
     Addr data_base = 0x40000000;
     TraceWriteOptions options;
-    std::string benchmark, out_path, manifest_path;
+    std::string benchmark, out_path;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -143,6 +94,11 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--insts") {
             insts = parseNum("--insts", next());
+            if (insts == 0) {
+                std::fprintf(stderr,
+                             "tracegen: --insts must be at least 1\n");
+                return 1;
+            }
         } else if (arg == "--seed") {
             seed = parseNum("--seed", next());
         } else if (arg == "--code-base") {
@@ -162,8 +118,6 @@ main(int argc, char **argv)
                              c.c_str());
                 return 1;
             }
-        } else if (arg == "--manifest") {
-            manifest_path = next();
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "tracegen: unknown option %s\n",
                          arg.c_str());
@@ -179,7 +133,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (benchmark.empty() || out_path.empty() || insts == 0) {
+    if (benchmark.empty() || out_path.empty()) {
         usage(stderr);
         return 1;
     }
@@ -217,13 +171,7 @@ main(int argc, char **argv)
                     out_path.c_str(),
                     (unsigned long long)writer.recordsWritten(),
                     s.avgBlockSize(), s.avgStreamLength());
-
-        if (!manifest_path.empty())
-            appendToManifest(manifest_path, out_path);
     } catch (const TraceFileError &e) {
-        std::fprintf(stderr, "tracegen: %s\n", e.what());
-        return 2;
-    } catch (const CorpusError &e) {
         std::fprintf(stderr, "tracegen: %s\n", e.what());
         return 2;
     }
